@@ -5,7 +5,12 @@ degrees and verify print text tables unless --json is given.  All sampling
 is driven by --seed and the seed is echoed in JSON output, so identical
 command lines produce byte-identical output.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
+error (an ``ArithmeticError`` or ``AssertionError`` raised inside the engine,
+such as a truncation instability or a failed internal guard).
+
+Parameter lists that start with a minus sign must be attached with ``=``,
+as in ``--c=-3,2``: argparse reads ``--c -3,2`` as an option with no value.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from typing import Optional, Sequence
 from .exact import rat_to_str
 from .generation import check_basic, degree_walk, generate_multistep
 from .flows import admissible_r, flow_sample
-from .miura import embed_a1, miura_from_trace, miura_map
-from .psdo import consistency_check
+from .miura import miura_from_trace
+from .psdo import diagram_sides
 from .verify import RunConfig, SUITES, run_suites
 
 
@@ -100,14 +105,12 @@ def cmd_kdv_check(args) -> int:
         raise UsageError(f"flow index must be positive and 1 or 5 mod 6, got {args.r}")
     maps = [args.i] if args.i is not None else [0, 1, 2]
     trace = generate_multistep(word, c)
-    results = {}
-    for i in maps:
-        if i not in (0, 1, 2):
-            raise UsageError("scalar map index must be 0, 1, or 2")
-        results[str(i)] = consistency_check(trace, args.r, i)
-    scalar_ops = {
-        str(i): miura_map(i, embed_a1(miura_from_trace(trace))).to_json() for i in maps
-    }
+    if args.i not in (None, 0, 1, 2):
+        raise UsageError("scalar map index must be 0, 1, or 2")
+    results, scalar_ops = {}, {}
+    for i, (scalar_op, pushed, kdv) in diagram_sides(trace, args.r, maps).items():
+        results[str(i)] = pushed == kdv
+        scalar_ops[str(i)] = scalar_op.to_json()
     print(
         _dump(
             {
@@ -146,6 +149,11 @@ def cmd_verify(args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
+_C_HELP = (
+    "comma-separated rationals, e.g. 2,5/3; write --c=-3,2 when the list starts with a minus sign"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mkdv-a22",
@@ -160,26 +168,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="run the Wronskian generation, print the trace")
     p.add_argument("J", nargs="?", default="")
-    p.add_argument("--c", default="", help="comma-separated rationals, e.g. 2,5/3")
+    p.add_argument("--c", default="", help=_C_HELP)
     p.add_argument("--json", action="store_true", help="accepted for uniformity; always JSON")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("flow", help="evaluate one mKdV flow on a generated family")
     p.add_argument("J", nargs="?", default="")
-    p.add_argument("--c", default="")
+    p.add_argument("--c", default="", help=_C_HELP)
     p.add_argument("--r", type=int, required=True, help="flow index, 1 or 5 mod 6")
     p.add_argument("--json", action="store_true", help="accepted for uniformity; always JSON")
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("miura", help="print the Miura oper attached to a generated pair")
     p.add_argument("J", nargs="?", default="")
-    p.add_argument("--c", default="")
+    p.add_argument("--c", default="", help=_C_HELP)
     p.add_argument("--json", action="store_true", help="accepted for uniformity; always JSON")
     p.set_defaults(func=cmd_miura)
 
     p = sub.add_parser("kdv-check", help="mKdV/KdV consistency through the scalar maps")
     p.add_argument("J", nargs="?", default="")
-    p.add_argument("--c", default="")
+    p.add_argument("--c", default="", help=_C_HELP)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--i", type=int, default=None, help="scalar map index (default: all)")
     p.add_argument("--json", action="store_true", help="accepted for uniformity; always JSON")
@@ -209,6 +217,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, AssertionError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

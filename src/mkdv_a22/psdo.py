@@ -11,11 +11,17 @@ so exactness claims never silently degrade.  Composition uses the
 generalized Leibniz rule d^k u = sum_s C(k, s) u^(s) d^(k-s), valid for
 negative k with the usual falling-factorial binomials.
 
-The cube root of d^3 + u1*d + u0 is the unique d + sum_{i<=0} a_i d^i whose
-cube reproduces it; coefficients are solved order by order, and fractional
-powers keep enough depth that every nonnegative order of the result is
-exact (checked, not assumed: recomputing two orders deeper must not change
-the nonnegative part).
+The cube root R = L^(1/3) of L = d^3 + u1*d + u0 is the unique
+d + sum_{i<=0} a_i d^i whose cube reproduces L.  It is solved one
+coefficient at a time: a_{-k} enters [R^2]_{1-k} as 2 a_{-k} and [R^3]_{2-k}
+as 3 a_{-k}, so each step forms just those two coefficients of R^2 and
+R^3 = R*R^2, with every coefficient's derivatives cached across steps.
+
+Fractional powers use r = 3q + s (s = 1, 2): (L^(r/3))+ = (L^q R^s)+, where
+L^q is an exact differential operator of order 3q and R^s is R or the R^2
+kept by the same solve, so R is needed to depth r only.  The result is
+checked, not assumed: R is solved two orders deeper, (R^s L^q)+ is taken
+from the full deeper root, and the two nonnegative parts must agree.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import RF_ZERO, RatFunc, ratfunc_to_json
 from .flows import mkdv_field
@@ -190,55 +196,82 @@ def from_diffop3(op: DiffOp3) -> PsDO:
 def cube_root(op: DiffOp3, depth: int) -> PsDO:
     """d + a_0 + a_{-1} d^{-1} + ... with (result)**3 = op at all retained
     orders; depth counts the coefficients a_0 .. a_{-(depth-1)}."""
+    return _root_and_square(op, depth)[0]
+
+
+def _root_and_square(op: DiffOp3, depth: int) -> Tuple[PsDO, PsDO]:
+    """R = L^(1/3) to ``depth`` coefficients, and R^2 as far as they fix it.
+
+    Step k solves for a_{-k}.  Written with the known part of each product,
+    [R^2]_{1-k} = 2 a_{-k} + ... and [R^3]_{2-k} = [R.R^2]_{2-k} = 3 a_{-k} + ...,
+    so each step forms just those two coefficients.  Every coefficient keeps
+    the list of its derivatives, grown on demand and reused by later steps.
+    """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     target = from_diffop3(op)
-    terms: Dict[int, RatFunc] = {1: RatFunc.one()}
+    root: Dict[int, List[RatFunc]] = {1: [RatFunc.one()]}
+    square: Dict[int, List[RatFunc]] = {2: [RatFunc.one()]}
     for k in range(depth):
-        r = PsDO(dict(terms), -k)
-        cube = r * r * r
-        gap = target.coeff(2 - k) - cube.coeff(2 - k)
-        if not gap.is_zero():
-            terms[-k] = gap / 3
-    return PsDO(terms, -(depth - 1))
+        sq = _product_coeff(root, root, 1 - k)
+        cube = _product_coeff(root, square, 2 - k) + sq  # a_1 = 1 times [R^2]_{1-k}
+        a = (target.coeff(2 - k) - cube) * Fraction(1, 3)
+        root[-k] = [a]
+        square[1 - k] = [sq + a * 2]
+    return (
+        PsDO({i: c[0] for i, c in root.items()}, -(depth - 1)),
+        PsDO({j: c[0] for j, c in square.items()}, -(depth - 2)),
+    )
 
 
-def frac_power_plus(op: DiffOp3, r: int, *, check_stability: bool = True) -> PsDO:
+def _product_coeff(a: Dict[int, List[RatFunc]], b: Dict[int, List[RatFunc]], n: int) -> RatFunc:
+    """Order-n coefficient of (sum a_i d^i)(sum b_j d^j), by the Leibniz rule;
+    each value lists a coefficient followed by its cached derivatives."""
+    total = RF_ZERO
+    for i, ai in a.items():
+        for j, bj in b.items():
+            s = i + j - n
+            if s < 0 or 0 <= i < s:
+                continue
+            while len(bj) <= s:
+                bj.append(bj[-1].derivative())
+            if not bj[s].is_zero():
+                total = total + ai[0] * (bj[s] * _binom(i, s))
+    return total
+
+
+def frac_power_plus(op: DiffOp3, r: int) -> PsDO:
     """Differential-operator part of the r/3 power, exact at every order.
 
-    Depth r+3 leaves a three-order safety margin below zero; the stability
-    check reruns the power two orders deeper and insists the nonnegative
-    part is unchanged.
+    With r = 3q + s, (L^(r/3))+ = (L^q R^s)+ for R = L^(1/3).  L^q is an
+    exact differential operator of order 3q, so R^s is needed down to order
+    -3q only: R to depth r.  The check solves R two orders deeper and takes
+    the other product, (R^s L^q)+ (the factors commute), from the full
+    deeper root; the two nonnegative parts must agree.
     """
     if r <= 0:
         raise ValueError("power must be positive")
     if r % 3 == 0:
         raise ValueError("powers divisible by 3 are plain polynomials in the operator")
-    depth = r + 3
-    root_deep = cube_root(op, depth + 2)
-    plus = _power_plus(root_deep, r)
-    if check_stability:
-        shallow = _power_plus(root_deep.truncate(-(depth - 1)), r)
-        if shallow != plus:
-            raise ArithmeticError(
-                "truncation instability: nonnegative orders changed with depth"
-            )
+    q, s = divmod(r, 3)
+    lop = from_diffop3(op)
+    lq = PsDO.one()
+    for _ in range(q):
+        lq = lq * lop
+    rs = _root_and_square(op, r + 2)[s - 1]
+    plus = _plus_part(lq * rs.truncate(-3 * q))
+    if _plus_part(rs * lq) != plus:
+        raise ArithmeticError(
+            "truncation instability: (L^q R^s)+ at depth r and (R^s L^q)+ "
+            "two orders deeper differ"
+        )
     return plus
 
 
-def _power_plus(root: PsDO, r: int) -> PsDO:
-    acc = None
-    base = root
-    n = r
-    while n:
-        if n & 1:
-            acc = base if acc is None else acc * base
-        n >>= 1
-        if n:
-            base = base * base
-    if acc.floor is not None and acc.floor > 0:
+def _plus_part(op: PsDO) -> PsDO:
+    if op.floor is not None and op.floor > 0:
         raise ArithmeticError("insufficient depth for an exact nonnegative part")
-    return acc.plus_part()
+    return op.plus_part()
 
 
 def kdv_field(op: DiffOp3, r: int) -> Tuple[RatFunc, RatFunc]:
@@ -261,19 +294,21 @@ def consistency_check(trace: GenerationTrace, r: int, i: int) -> bool:
     """One point of the diagram: pushing the mKdV flow value through the
     derivative of the i-th scalar map must equal the KdV flow value at the
     image operator.  Exact equality of both coefficient pairs."""
-    mk = consistency_sides(trace, r, i)
-    (a1, a0), (b1, b0) = mk
-    return a1 == b1 and a0 == b0
+    _, pushed, kdv = diagram_sides(trace, r, (i,))[i]
+    return pushed == kdv
 
 
-def consistency_sides(
-    trace: GenerationTrace, r: int, i: int
-) -> Tuple[OpTangent, Tuple[RatFunc, RatFunc]]:
-    """Both sides of the consistency diagram, for inspection on mismatch."""
-    oper = miura_from_trace(trace)
+def diagram_sides(
+    trace: GenerationTrace, r: int, maps: Sequence[int]
+) -> Dict[int, Tuple[DiffOp3, OpTangent, Tuple[RatFunc, RatFunc]]]:
+    """For each scalar map i in ``maps``: the image operator and both sides of
+    the diagram.  The oper, its embedding and the mKdV field are built once
+    and shared by every map."""
+    emb = embed_a1(miura_from_trace(trace))
     x = mkdv_field(trace, r).x_component
-    emb = embed_a1(oper)
-    pushed = d_miura_map_a1(i, emb, (x, RF_ZERO, -x))
-    scalar_op = miura_map(i, emb)
-    kdv = kdv_field(scalar_op, r)
-    return pushed, kdv
+    sides = {}
+    for i in maps:
+        scalar_op = miura_map(i, emb)
+        pushed = d_miura_map_a1(i, emb, (x, RF_ZERO, -x))
+        sides[i] = (scalar_op, pushed, kdv_field(scalar_op, r))
+    return sides

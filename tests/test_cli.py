@@ -96,3 +96,38 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["flow", "0", "--c", "3"])  # missing --r
     assert exc.value.code == 2
+
+
+def test_kdv_check_all_maps_match_single_runs(capsys):
+    args = ("kdv-check", "0,1", "--c", "2,5", "--r", "5")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    together = json.loads(out)
+    for i in ("0", "1", "2"):
+        code, out, _ = run_cli(capsys, *args, "--i", i)
+        single = json.loads(out)
+        assert single["consistent"] == {i: together["consistent"][i]}
+        assert single["scalar_operators"] == {i: together["scalar_operators"][i]}
+
+
+@pytest.mark.parametrize(
+    "exc", [ArithmeticError("flow bracket has order 2, expected <= 1"), AssertionError("guard")]
+)
+def test_internal_error_exit_code(capsys, monkeypatch, exc):
+    def broken(op, r):
+        raise exc
+
+    monkeypatch.setattr("mkdv_a22.psdo.kdv_field", broken)
+    code, out, err = run_cli(capsys, "kdv-check", "0", "--c", "3", "--r", "1")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error:") and str(exc) in err
+
+
+def test_negative_parameters_with_equals_form(capsys):
+    code, out, _ = run_cli(capsys, "kdv-check", "0,1", "--c=-3,2", "--r", "1", "--i", "0")
+    assert code == 0
+    data = json.loads(out)
+    assert data["c"] == ["-3", "2"] and data["consistent"] == {"0": True}
+    with pytest.raises(SystemExit) as exc:
+        main(["kdv-check", "0,1", "--c", "-3,2", "--r", "1"])  # read as a missing value
+    assert exc.value.code == 2

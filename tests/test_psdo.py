@@ -8,6 +8,7 @@ import pytest
 from mkdv_a22.exact import ONE, X, Poly, RatFunc
 from mkdv_a22.generation import generate_multistep
 from mkdv_a22.miura import DiffOp3, embed_a1, miura_from_trace, miura_map
+from mkdv_a22 import psdo
 from mkdv_a22.psdo import (
     PsDO,
     consistency_check,
@@ -110,6 +111,37 @@ def test_frac_power_plus_shapes():
         frac_power_plus(op, 3)
     with pytest.raises(ValueError):
         frac_power_plus(op, 0)
+
+
+def test_frac_power_plus_matches_repeated_products():
+    # oracle: the plain definition, (R^r)+ from r - 1 products of a root
+    # taken to depth r + 5
+    rng = random.Random(59)
+    for r in (1, 2, 4, 5, 7, 8):
+        op = DiffOp3(rand_ratfunc(rng, 1, 1), rand_ratfunc(rng, 1, 1))
+        root = cube_root(op, r + 5)
+        power = root
+        for _ in range(r - 1):
+            power = power * root
+        assert power.floor <= 0
+        assert frac_power_plus(op, r) == power.plus_part()
+
+
+def test_frac_power_plus_disagreement_raises(monkeypatch):
+    # a root solver that forgets [R]_{-1} and [R^2]_{-1}: L^q R^s and R^s L^q
+    # then differ at nonnegative orders
+    solve = psdo._root_and_square
+
+    def forgetful(op, depth):
+        return tuple(
+            PsDO({i: c for i, c in p.terms.items() if i != -1}, p.floor) for p in solve(op, depth)
+        )
+
+    monkeypatch.setattr(psdo, "_root_and_square", forgetful)
+    op = DiffOp3(rand_ratfunc(random.Random(60)), rand_ratfunc(random.Random(61)))
+    for r in (4, 5):
+        with pytest.raises(ArithmeticError, match="instability"):
+            frac_power_plus(op, r)
 
 
 def test_cube_root_truncation_is_stable():
