@@ -3,10 +3,10 @@
 The oper attached to a generated pair is conjugate to d/dx + L1 by an
 explicit product of dressing factors, so every flow value is computable in
 closed form: conjugate the r-th power of the cyclic generator, project to
-degree zero, differentiate.  Tangents of the family come from dual-number
-reruns of the whole generation.  The decomposition of the field over the
-tangents is then one exact linear solve, and above an explicit threshold in
-r the field vanishes identically.
+degree zero, differentiate.  Tangents of the family come from
+differentiating each Wronskian step of one generation run.  The
+decomposition of the field over the tangents is then one exact linear
+solve, and above an explicit threshold in r the field vanishes identically.
 """
 
 import random

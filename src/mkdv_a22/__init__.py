@@ -3,7 +3,7 @@ twisted mKdV / KdV hierarchies of type A2(2).
 
 The package is organized bottom-up:
 
-* ``exact``      rationals, dual numbers, polynomials, rational functions
+* ``exact``      rationals, polynomials, rational functions, linear solving
 * ``loop``       the sl(3) loop algebra in the lambda realization
 * ``generation`` Wronskian generation of critical-point pairs
 * ``miura``      Miura opers, gauge moves, and scalar (third-order) reductions
@@ -14,8 +14,6 @@ The package is organized bottom-up:
 """
 
 from .exact import (
-    Dual,
-    DualDivisionError,
     Poly,
     Rat,
     RatFunc,

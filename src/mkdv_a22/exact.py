@@ -1,16 +1,9 @@
 """Exact scalar and polynomial arithmetic used by every other module.
 
-Coefficients live in one of two commutative rings:
+Coefficients are ``fractions.Fraction`` (aliased ``Rat``): arbitrary-precision
+rationals.  Plain ints are accepted everywhere and promote automatically.
 
-* ``fractions.Fraction`` (aliased ``Rat``): arbitrary-precision rationals.
-  Plain ints are accepted everywhere and promote automatically.
-* ``Dual``: numbers ``re + eps*E`` with ``E**2 = 0``, a value bundled with
-  its first derivative with respect to one chosen parameter.  Re-running a
-  computation with one input seeded as ``Dual(c, 1)`` puts the exact partial
-  derivative of every downstream quantity in the ``eps`` slot, so no finite
-  differences are ever needed.
-
-``Poly`` is a dense univariate polynomial over either ring (degrees stay in
+``Poly`` is a dense univariate polynomial over the rationals (degrees stay in
 the dozens here, so dense storage is the right trade), and ``RatFunc`` is a
 reduced quotient of two ``Poly`` with monic denominator.  Values are
 immutable and operations pure; everything is safe to share across threads.
@@ -22,114 +15,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 Rat = Fraction
-
-Scalar = Union[int, Fraction, "Dual"]
-
-
-class DualDivisionError(ZeroDivisionError):
-    """Division by a dual number whose value part is zero."""
 
 
 def _is_zero(c) -> bool:
     return c == 0
-
-
-class Dual:
-    """re + eps*E with E**2 = 0; division needs an invertible value part."""
-
-    __slots__ = ("re", "eps")
-
-    def __init__(self, re, eps=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "eps", Fraction(eps))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Dual is immutable")
-
-    @staticmethod
-    def lift(x) -> "Dual":
-        if isinstance(x, Dual):
-            return x
-        return Dual(Fraction(x), 0)
-
-    def __add__(self, other):
-        o = Dual.lift(other)
-        return Dual(self.re + o.re, self.eps + o.eps)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = Dual.lift(other)
-        return Dual(self.re - o.re, self.eps - o.eps)
-
-    def __rsub__(self, other):
-        o = Dual.lift(other)
-        return Dual(o.re - self.re, o.eps - self.eps)
-
-    def __mul__(self, other):
-        o = Dual.lift(other)
-        return Dual(self.re * o.re, self.re * o.eps + self.eps * o.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = Dual.lift(other)
-        if o.re == 0:
-            raise DualDivisionError("division by a dual with zero value part")
-        return Dual(self.re / o.re, (self.eps * o.re - self.re * o.eps) / (o.re * o.re))
-
-    def __rtruediv__(self, other):
-        return Dual.lift(other) / self
-
-    def __neg__(self):
-        return Dual(-self.re, -self.eps)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("Dual exponent must be a nonnegative integer")
-        result = Dual(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other):
-        if isinstance(other, (Dual, int, Fraction)):
-            o = Dual.lift(other)
-            return self.re == o.re and self.eps == o.eps
-        return NotImplemented
-
-    def __bool__(self):
-        return self.re != 0 or self.eps != 0
-
-    def __hash__(self):
-        if self.eps == 0:
-            return hash(self.re)
-        return hash((self.re, self.eps))
-
-    def __repr__(self):
-        return f"Dual({self.re!r}, {self.eps!r})"
-
-
-def _invertible(c) -> bool:
-    """True when c has a multiplicative inverse (pivot eligibility)."""
-    if isinstance(c, Dual):
-        return c.re != 0
-    return c != 0
-
-
-def scalar_re(c) -> Fraction:
-    return c.re if isinstance(c, Dual) else Fraction(c)
-
-
-def scalar_eps(c) -> Fraction:
-    return c.eps if isinstance(c, Dual) else Fraction(0)
 
 
 class Poly:
@@ -212,13 +104,7 @@ class Poly:
         if isinstance(other, Poly):
             if not self.coeffs or not other.coeffs:
                 return Poly()
-            if not _ring_has_dual(self, other):
-                return _mul_rational(self, other)
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return Poly(out)
+            return _mul_rational(self, other)
         return Poly(tuple(c * other for c in self.coeffs))
 
     __rmul__ = __mul__
@@ -263,7 +149,7 @@ class Poly:
 
     def divexact(self, other) -> "Poly":
         other = Poly.lift(other)
-        if not _ring_has_dual(self, other) and not self.is_zero() and other.degree() > 0:
+        if not self.is_zero() and other.degree() > 0:
             return _divexact_rational(self, other)
         q, r = divmod(self, other)
         if not r.is_zero():
@@ -282,7 +168,7 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, Poly):
             return _coeffs_equal(self.coeffs, other.coeffs)
-        if isinstance(other, (int, Fraction, Dual)):
+        if isinstance(other, (int, Fraction)):
             return _coeffs_equal(self.coeffs, Poly((other,)).coeffs)
         return NotImplemented
 
@@ -317,10 +203,6 @@ def _coeffs_equal(a, b) -> bool:
 
 X = Poly((Fraction(0), Fraction(1)))
 ONE = Poly((Fraction(1),))
-
-
-def _ring_has_dual(*polys: Poly) -> bool:
-    return any(isinstance(c, Dual) for p in polys for c in p.coeffs)
 
 
 def _to_int_scaled(p: Poly) -> tuple[list, int]:
@@ -445,36 +327,6 @@ def _gcd_rational(a: Poly, b: Poly) -> Poly:
     return Poly(tuple(Fraction(c) / lc for c in fa))
 
 
-def _gcd_generic(a: Poly, b: Poly) -> Poly:
-    """Euclidean gcd with monic normalization; rings with non-invertible
-    leading coefficients (dual numbers with zero value part) raise."""
-    while not b.is_zero():
-        b = b.monic()
-        a, b = b, a % b
-    return a.monic()
-
-
-def _gcd_dual(a: Poly, b: Poly) -> Poly:
-    """Gcd over the dual-number ring, decided by the value parts first.
-
-    A common factor projects to a common factor of the value parts (of the
-    derivative part when a value part vanishes identically), so a constant
-    rational gcd there proves the dual polynomials share only units; this
-    avoids the fragile dual-pivot Euclid in the common case.  Genuinely
-    degenerate inputs still fall through and may raise DualDivisionError.
-    """
-    a0 = Poly(tuple(scalar_re(c) for c in a.coeffs))
-    b0 = Poly(tuple(scalar_re(c) for c in b.coeffs))
-    if a0.is_zero() and not b0.is_zero():
-        a0 = Poly(tuple(scalar_eps(c) for c in a.coeffs))
-    elif b0.is_zero() and not a0.is_zero():
-        b0 = Poly(tuple(scalar_eps(c) for c in b.coeffs))
-    if not a0.is_zero() and not b0.is_zero():
-        if poly_gcd(a0, b0).degree() == 0:
-            return ONE
-    return _gcd_generic(a, b)
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor; gcd(0, 0) = 0."""
     if a.is_zero():
@@ -483,8 +335,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return a.monic()
     if a.degree() == 0 or b.degree() == 0:
         return ONE
-    if _ring_has_dual(a, b):
-        return _gcd_dual(a, b)
     return _gcd_rational(a, b)
 
 
@@ -613,13 +463,17 @@ class RatFunc:
                 return RF_ZERO
             return RatFunc._raw(self.num * other, self.den)
         o = RatFunc.lift(other)
+        if self.num.is_zero() or o.num.is_zero():
+            return RF_ZERO
         g1 = poly_gcd(self.num, o.den)
         g2 = poly_gcd(o.num, self.den)
         n1 = self.num.divexact(g1) if g1.degree() > 0 else self.num
         d2 = o.den.divexact(g1) if g1.degree() > 0 else o.den
         n2 = o.num.divexact(g2) if g2.degree() > 0 else o.num
         d1 = self.den.divexact(g2) if g2.degree() > 0 else self.den
-        return RatFunc(n1 * n2, d1 * d2)
+        # both factors are reduced and the cross gcds are cancelled, so the
+        # quotient is already in lowest terms; d1 and d2 are monic
+        return RatFunc._raw(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -657,7 +511,7 @@ class RatFunc:
         return self.num(x) / self.den(x)
 
     def __eq__(self, other):
-        if isinstance(other, (RatFunc, Poly, int, Fraction, Dual)):
+        if isinstance(other, (RatFunc, Poly, int, Fraction)):
             o = RatFunc.lift(other)
             return self.num == o.num and self.den == o.den
         return NotImplemented
@@ -675,8 +529,6 @@ class RatFunc:
 
 
 def _one_over(c):
-    if isinstance(c, Dual):
-        return Dual(1) / c
     return Fraction(1) / Fraction(c)
 
 
@@ -725,10 +577,9 @@ def _gauss_jordan(rows: list, ncols: int):
 
     Returns (pivots, bad_row) where pivots maps column -> row and bad_row is
     the index of the first inconsistent row, or None.  Pivots are chosen as
-    the first invertible entry scanning rows in order for each column left to
-    right, which makes the reduction deterministic.  A leftover row whose
-    left side is nonzero but nowhere invertible (possible only over dual
-    numbers) raises DualDivisionError.
+    the first nonzero entry scanning rows in order for each column left to
+    right, which makes the reduction deterministic.  Rows left below the
+    pivots have a zero left side, so only their rhs can be inconsistent.
     """
     nrows = len(rows)
     pivots: dict[int, int] = {}
@@ -736,7 +587,7 @@ def _gauss_jordan(rows: list, ncols: int):
     for col in range(ncols):
         pr = None
         for r in range(rank, nrows):
-            if _invertible(rows[r][col]):
+            if not _is_zero(rows[r][col]):
                 pr = r
                 break
         if pr is None:
@@ -750,14 +601,7 @@ def _gauss_jordan(rows: list, ncols: int):
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
         pivots[col] = rank
         rank += 1
-    bad = None
-    for r in range(rank, nrows):
-        lhs_nonzero = any(not _is_zero(c) for c in rows[r][:ncols])
-        if lhs_nonzero:
-            raise DualDivisionError("degenerate elimination: no invertible pivot")
-        if not _is_zero(rows[r][ncols]):
-            bad = r
-            break
+    bad = next((r for r in range(rank, nrows) if not _is_zero(rows[r][ncols])), None)
     return pivots, bad
 
 
@@ -777,27 +621,6 @@ def solve_linear(a, b) -> Optional[list]:
     for col, r in pivots.items():
         x[col] = rows[r][ncols]
     return x
-
-
-def poly_parts(p: Poly) -> tuple[Poly, Poly]:
-    """Split a dual-coefficient polynomial into (value, derivative) parts."""
-    return (
-        Poly(tuple(scalar_re(c) for c in p.coeffs)),
-        Poly(tuple(scalar_eps(c) for c in p.coeffs)),
-    )
-
-
-def ratfunc_parts(r: RatFunc) -> tuple[RatFunc, RatFunc]:
-    """Value and derivative parts of a dual-coefficient rational function.
-
-    For (N0 + E*N1)/(D0 + E*D1) these are N0/D0 and (N1*D0 - N0*D1)/D0**2,
-    both returned as reduced rational functions over the plain rationals.
-    """
-    n0, n1 = poly_parts(r.num)
-    d0, d1 = poly_parts(r.den)
-    if d0.is_zero():
-        raise DualDivisionError("denominator with zero value part")
-    return RatFunc(n0, d0), RatFunc(n1 * d0 - n0 * d1, d0 * d0)
 
 
 # --- serialization -----------------------------------------------------------

@@ -6,11 +6,12 @@ the r-th flow at that point is
 
     -(d/dx) of the degree-zero part of  P * L1**r * P**(-1),
 
-a multiple of h0 = diag(1, 0, -1).  Family tangents come from re-running the
-whole generation with one parameter seeded as a dual number, which makes the
-partial derivatives of the attached oper exact.  Matching the flow value
-against the span of the tangents is then one exact linear solve after
-clearing denominators.
+a multiple of h0 = diag(1, 0, -1).  Family tangents are the exact partial
+derivatives of the attached oper: v = (2 ln y1 - ln y0)' depends only on the
+final pair, whose parameter derivatives come from differentiating each
+Wronskian step of one generation run.  Matching the flow value against the
+span of the tangents is then one exact linear solve after clearing
+denominators.
 """
 
 from __future__ import annotations
@@ -19,16 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .exact import (
-    Dual,
-    RatFunc,
-    poly_lcm,
-    rat_to_str,
-    ratfunc_parts,
-    ratfunc_to_json,
-    solve_linear,
+from .exact import RatFunc, poly_lcm, rat_to_str, ratfunc_to_json, solve_linear
+from .generation import (
+    GenerationTrace,
+    check_basic,
+    generate_multistep,
+    parameter_derivatives,
 )
-from .generation import GenerationTrace, check_basic, generate_multistep
 from .loop import (
     DiagTraceless,
     LaurentMat,
@@ -37,7 +35,6 @@ from .loop import (
     exp_dressing,
     grade_project,
 )
-from .miura import miura_from_trace
 
 
 @dataclass(frozen=True)
@@ -116,31 +113,34 @@ def mkdv_field(trace: GenerationTrace, r: int) -> TangentVector:
 def family_tangents(j_seq: Sequence[int], c: Sequence[Fraction]) -> List[TangentVector]:
     """Exact partial derivatives of the attached oper in each parameter.
 
-    Each coordinate is obtained by re-running the generation with that
-    parameter seeded as Dual(c_i, 1) and reading off the derivative part of
-    v.  The last coordinate has the closed form
+    The generation runs once over the rationals; ``parameter_derivatives``
+    gives the polynomial derivatives (dy0, dy1) of the final pair in each
+    c_i, and since v = (2 ln y1 - ln y0)' the i-th tangent is
+
+        (2 dy1/y1 - dy0/y0)'.
+
+    Non-generic points (repeated or shared roots) need no special case.  The
+    last coordinate has the closed form
 
         + a * y1(step m-1)**4 / y0(step m)**2     (last direction 0)
         - 2a * y0(step m-1) / y1(step m)**2       (last direction 1)
 
     with a the recorded Wronskian constant; it is asserted here as a guard
-    on the dual-number pipeline.
+    on the derivative propagation.
     """
     js = check_basic(j_seq)
     if len(c) != len(js):
         raise ValueError(f"need {len(js)} parameters, got {len(c)}")
-    tangents: List[TangentVector] = []
-    for i in range(len(js)):
-        seeded = [Dual(cj, 1 if k == i else 0) for k, cj in enumerate(c)]
-        trace = generate_multistep(js, seeded)
-        v = miura_from_trace(trace).v
-        _, dv = ratfunc_parts(v)
-        tangents.append(TangentVector(dv))
+    trace = generate_multistep(js, [Fraction(ci) for ci in c])
+    y0, y1 = trace.final
+    tangents = [
+        TangentVector((RatFunc(dy1 * 2, y1) - RatFunc(dy0, y0)).derivative())
+        for dy0, dy1 in parameter_derivatives(trace)
+    ]
     if js:
-        plain = generate_multistep(js, [Fraction(ci) for ci in c])
-        a = plain.consts[-1]
+        a = trace.consts[-1]
         j_last = js[-1]
-        prev, last = plain.pairs[-2], plain.pairs[-1]
+        prev, last = trace.pairs[-2], trace.pairs[-1]
         if j_last == 0:
             expected = RatFunc(prev.y1 ** 4 * a, last.y0 ** 2)
         else:

@@ -17,8 +17,8 @@ always degree increasing and is normalized so that every pair stays monic:
 the new component is y_{j,0} + c*y_j where y_{j,0} is the unique monic
 solution with vanishing coefficient at the old degree.
 
-Everything is exact over the rationals (or dual numbers, which give exact
-parameter derivatives of the whole pipeline); the only numerics live in
+Everything is exact over the rationals, including the parameter derivatives
+of a run (``parameter_derivatives``); the only numerics live in
 ``bethe_residuals``, a floating-point spot check of the critical equations.
 """
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .exact import (
     ONE,
@@ -40,6 +40,7 @@ from .exact import (
     rat_to_str,
     ratfunc_to_json,
     solve_linear,
+    wronskian,
 )
 from .loop import CARTAN
 from .roots import durand_kerner
@@ -127,6 +128,34 @@ def wronskian_rhs(pair: PolyPair, j: int) -> Poly:
     return pair.component(i) ** (-CARTAN.a[i][j])
 
 
+def _wronskian_rows(y: Poly, columns: Sequence[int], nrows: int) -> list:
+    """Matrix of b -> Wr(y, b) on the monomials x**i, i in columns, truncated
+    to x**0 .. x**(nrows - 1): Wr(y, x**i) = sum_k (i - k) y_k x**(k + i - 1)."""
+    return [[(2 * i - n - 1) * y.coeff(n + 1 - i) for i in columns] for n in range(nrows)]
+
+
+def _solve_below(
+    y: Poly, target: Poly, degree: int, zero_coeff_index: int
+) -> Optional[List[Fraction]]:
+    """Coefficients b_0 .. b_{degree-1} of a b with Wr(y, b) = target and
+    b_{zero_coeff_index} = 0, or None when the linear system is inconsistent.
+
+    With zero_coeff_index = deg y the solution is unique: the kernel of
+    Wr(y, .) is spanned by y itself.
+    """
+    unknowns = [i for i in range(degree) if i != zero_coeff_index]
+    nrows = max(y.degree() + degree, target.degree() + 1)
+    sol = solve_linear(
+        _wronskian_rows(y, unknowns, nrows), [target.coeff(n) for n in range(nrows)]
+    )
+    if sol is None:
+        return None
+    coeffs = [Fraction(0)] * degree
+    for i, b in zip(unknowns, sol):
+        coeffs[i] = b
+    return coeffs
+
+
 def wronskian_solve(
     y: Poly, rhs: Poly, target_degree: int, zero_coeff_index: int
 ) -> Tuple[object, Poly]:
@@ -146,28 +175,13 @@ def wronskian_solve(
     if not 0 <= zero_coeff_index < target_degree:
         raise ValueError("pinned coefficient index out of range")
     a = y.leading() * (target_degree - d) * _one_over(rhs.leading())
-
-    def wr_basis(i: int) -> Poly:
-        # Wr(y, x**i), linear in the basis monomial
-        xi = Poly([0] * i + [1]) if i else ONE
-        return y * xi.derivative() - y.derivative() * xi
-
-    target = rhs * a - wr_basis(target_degree)
-    unknowns = [i for i in range(target_degree) if i != zero_coeff_index]
-    ncoeffs = d + target_degree  # x**0 .. x**(d + target_degree - 1)
-    basis = [wr_basis(i) for i in unknowns]
-    rows = [[w.coeff(k) for w in basis] for k in range(ncoeffs)]
-    rhs_col = [target.coeff(k) for k in range(ncoeffs)]
-    sol = solve_linear(rows, rhs_col)
-    if sol is None:
+    lead = Poly([0] * target_degree + [1])
+    coeffs = _solve_below(y, rhs * a - wronskian(y, lead), target_degree, zero_coeff_index)
+    if coeffs is None:
         raise InfertileError(
             f"no degree-{target_degree} solution with pinned index {zero_coeff_index}"
         )
-    coeffs = [Fraction(0)] * (target_degree + 1)
-    coeffs[target_degree] = Fraction(1)
-    for i, b in zip(unknowns, sol):
-        coeffs[i] = b
-    return a, Poly(coeffs)
+    return a, Poly(coeffs + [Fraction(1)])
 
 
 def _step(pair: PolyPair, j: int, c) -> Tuple[PolyPair, object]:
@@ -238,6 +252,40 @@ def generate_multistep(j_seq: Sequence[int], c: Sequence) -> GenerationTrace:
     return trace
 
 
+def parameter_derivatives(trace: GenerationTrace) -> List[PolyPair]:
+    """Exact partial derivatives (dy0/dc_i, dy1/dc_i) of the final pair, one
+    pair per parameter c_i.
+
+    Step l replaces y_j by base + c_l*y_j, where base solves
+    Wr(y_j, base) = a*rhs and depends only on the earlier parameters, so the
+    derivative in c_l starts as y_j(old).  Each later step carries it through
+    by implicit differentiation: a = deg base - deg y_j is constant because
+    every pair stays monic, hence
+
+        Wr(y_j, base') = a*rhs' - Wr(y_j', base)
+
+    is the same pinned linear system as the step itself (deg base' < deg base,
+    vanishing coefficient at x**deg y_j), and y_j' becomes base' + c_l*y_j'.
+    """
+    derivs: List[PolyPair] = []
+    for l, j in enumerate(trace.J):
+        old, new = trace.pairs[l], trace.pairs[l + 1]
+        y, c, a = old.component(j), trace.c[l], trace.consts[l]
+        base = new.component(j) - y * c
+        # rhs = y_i**n, so rhs' = n * y_i**(n - 1) * y_i'
+        i = 1 - j
+        n = -CARTAN.a[i][j]
+        rhs_factor = old.component(i) ** (n - 1) * n
+        for k, dy in enumerate(derivs):
+            target = rhs_factor * dy.component(i) * a - wronskian(dy.component(j), base)
+            coeffs = _solve_below(y, target, base.degree(), y.degree())
+            if coeffs is None:
+                raise AssertionError("differentiated Wronskian step has no solution")
+            derivs[k] = dy.with_component(j, Poly(coeffs) + dy.component(j) * c)
+        derivs.append(PolyPair(Poly(), Poly()).with_component(j, y))
+    return derivs
+
+
 def is_fertile(pair: PolyPair) -> bool:
     """Both Wronskian equations admit a polynomial solution.
 
@@ -251,14 +299,9 @@ def is_fertile(pair: PolyPair) -> bool:
         bound = max(y.degree(), rhs.degree() + 1 - y.degree())
         if bound < 0:
             return False
-        basis = []
-        for i in range(bound + 1):
-            xi = Poly([0] * i + [1]) if i else ONE
-            basis.append(y * xi.derivative() - y.derivative() * xi)
-        ncoeffs = max([rhs.degree() + 1] + [w.degree() + 1 for w in basis])
-        rows = [[w.coeff(k) for w in basis] for k in range(ncoeffs)]
-        rhs_col = [rhs.coeff(k) for k in range(ncoeffs)]
-        if solve_linear(rows, rhs_col) is None:
+        nrows = max(rhs.degree() + 1, y.degree() + bound)
+        rows = _wronskian_rows(y, range(bound + 1), nrows)
+        if solve_linear(rows, [rhs.coeff(n) for n in range(nrows)]) is None:
             return False
     return True
 

@@ -58,6 +58,17 @@ def test_flow_output_and_validation(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("word", ["0,1", "1,0", "1,0,1", "0,1,0,1"])
+def test_flow_at_non_generic_point(capsys, word):
+    # c = 0 gives repeated roots (y1 = x**2 on 0,1); the flow still
+    # decomposes exactly, as the translation gamma = (-1, 0, ...)
+    m = len(word.split(","))
+    code, out, _ = run_cli(capsys, "flow", word, "--c=" + ",".join(["0"] * m), "--r", "1")
+    assert code == 0
+    data = json.loads(out)
+    assert data["gamma"] == ["-1"] + ["0"] * (m - 1) and data["residual_zero"] is True
+
+
 def test_miura_output(capsys):
     code, out, _ = run_cli(capsys, "miura", "1", "--c", "4")
     assert code == 0

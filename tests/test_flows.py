@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy as sp
 
 from mkdv_a22.exact import ONE, X, RatFunc
 from mkdv_a22.flows import (
@@ -15,7 +16,7 @@ from mkdv_a22.flows import (
     mkdv_field,
     vanishing_threshold,
 )
-from mkdv_a22.generation import generate_multistep, sample_c
+from mkdv_a22.generation import degree_vector, generate_multistep, sample_c
 from mkdv_a22.loop import LaurentMat, exp_dressing
 
 
@@ -71,7 +72,7 @@ def test_family_tangents_one_step():
 
 
 def test_family_tangents_match_difference_quotient_direction():
-    # exact dual-number tangents agree with the first-order term of the
+    # exact tangents agree with the first-order term of the
     # finite difference of v along each coordinate
     j_seq = (0, 1)
     c = (F(2), F(5))
@@ -90,6 +91,50 @@ def test_family_tangents_match_difference_quotient_direction():
         approx = diff(x0)
         exact = tangents[i].x_component(x0)
         assert abs(approx - exact) < F(1, 1000)
+
+
+def _symbolic_final_pair(j_seq, x, cs):
+    """(y0, y1) in x and the parameter symbols, solved step by step with
+    sympy from the Wronskian coefficients (monic, zero at the old degree)."""
+    y = [sp.Integer(1), sp.Integer(1)]
+    for l, j in enumerate(j_seq):
+        old = y[j]
+        target = degree_vector(j_seq[: l + 1])[j]
+        pinned = sp.degree(old, x)
+        bs = sp.symbols(f"b0:{target}")
+        a = sp.Symbol("a")
+        base = x**target + sum(b * x**i for i, b in enumerate(bs) if i != pinned)
+        rhs = y[1] ** 4 if j == 0 else y[0]
+        wr = old * sp.diff(base, x) - sp.diff(old, x) * base
+        eqs = sp.Poly(sp.expand(wr - a * rhs), x).coeffs()
+        sol = sp.solve(eqs, [a] + [b for i, b in enumerate(bs) if i != pinned], dict=True)
+        assert len(sol) == 1
+        y[j] = sp.expand(base.subs(sol[0]) + cs[l] * old)
+    return y
+
+
+@pytest.mark.parametrize("j_seq", [(0,), (1,), (0, 1), (1, 0), (0, 1, 0), (1, 0, 1)])
+def test_family_tangents_match_sympy_oracle(j_seq):
+    # dv/dc_i of v = (2 ln y1 - ln y0)' from a fully symbolic generation,
+    # at a generic point and at the non-generic point c = 0
+    x = sp.Symbol("x")
+    cs = sp.symbols(f"c1:{len(j_seq) + 1}")
+    y0, y1 = _symbolic_final_pair(j_seq, x, cs)
+    v = sp.diff(2 * sp.log(y1) - sp.log(y0), x)
+    for point in ((3, -1, 2)[: len(j_seq)], (0,) * len(j_seq)):
+        tangents = family_tangents(j_seq, [F(p) for p in point])
+        at = dict(zip(cs, point))
+        for ci, t in zip(cs, tangents):
+            ours = t.x_component
+            num = sum(sp.Rational(q) * x**k for k, q in enumerate(ours.num.coeffs))
+            den = sum(sp.Rational(q) * x**k for k, q in enumerate(ours.den.coeffs))
+            assert sp.cancel(sp.diff(v, ci).subs(at) - num / den) == 0, (j_seq, point, ci)
+
+
+def test_family_tangents_at_repeated_root():
+    # y1 = x**2 at c = 0: the tangents stay exact where v has a double pole
+    got = [t.x_component for t in family_tangents((0, 1), (F(0), F(0)))]
+    assert got == [rf(-3 * ONE, X**2), rf(-4 * ONE, X**3)]
 
 
 def test_decompose_flow_one_step():
