@@ -103,10 +103,10 @@ def cmd_kdv_check(args) -> int:
     c = _parse_params(args.c, len(word))
     if not admissible_r(args.r):
         raise UsageError(f"flow index must be positive and 1 or 5 mod 6, got {args.r}")
-    maps = [args.i] if args.i is not None else [0, 1, 2]
-    trace = generate_multistep(word, c)
     if args.i not in (None, 0, 1, 2):
         raise UsageError("scalar map index must be 0, 1, or 2")
+    maps = [args.i] if args.i is not None else [0, 1, 2]
+    trace = generate_multistep(word, c)
     results, scalar_ops = {}, {}
     for i, (scalar_op, pushed, kdv) in diagram_sides(trace, args.r, maps).items():
         results[str(i)] = pushed == kdv

@@ -6,12 +6,15 @@ the r-th flow at that point is
 
     -(d/dx) of the degree-zero part of  P * L1**r * P**(-1),
 
-a multiple of h0 = diag(1, 0, -1).  Family tangents are the exact partial
-derivatives of the attached oper: v = (2 ln y1 - ln y0)' depends only on the
-final pair, whose parameter derivatives come from differentiating each
-Wronskian step of one generation run.  Matching the flow value against the
-span of the tangents is then one exact linear solve after clearing
-denominators.
+a multiple of h0 = diag(1, 0, -1).  Only the degree-zero pieces of that
+conjugate are formed (``loop.conjugate`` with ``degree=0``), so the cost does
+not grow with r.
+
+Family tangents are the exact partial derivatives of the attached oper:
+v = (2 ln y1 - ln y0)' depends only on the final pair, whose parameter
+derivatives come from differentiating each Wronskian step of one generation
+run.  Matching the flow value against the span of the tangents is then one
+exact linear solve after clearing denominators.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .loop import (
     centralizer_power,
     conjugate,
     exp_dressing,
-    grade_project,
 )
 
 
@@ -98,11 +100,15 @@ def dressing_product(trace: GenerationTrace) -> Tuple[LaurentMat, LaurentMat]:
 
 
 def mkdv_field(trace: GenerationTrace, r: int) -> TangentVector:
-    """Value of the r-th flow at the oper attached to the trace."""
+    """Value of the r-th flow at the oper attached to the trace.
+
+    Only the degree-zero pieces of P * L1**r * P**(-1) are formed.  Above the
+    vanishing threshold no pair of grade pieces meets degree zero, so the
+    field is zero and its cost does not grow with r.
+    """
     _check_r(r)
     p, p_inv = dressing_product(trace)
-    conj = conjugate(p, centralizer_power(r), p_inv)
-    diag = DiagTraceless.from_matrix(grade_project(conj, 0))
+    diag = DiagTraceless.from_matrix(conjugate(p, centralizer_power(r), p_inv, degree=0))
     if not diag.middle.is_zero():
         raise ValueError(
             "twisted closure violated: degree-zero part has a middle entry"

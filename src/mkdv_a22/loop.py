@@ -6,8 +6,16 @@ rational functions of x.  The cyclic generator is
     L1 = e21 + e32 + lambda*e13,      L1**(-1) = e12 + e23 + lambda**(-1)*e31,
 
 and the principal grading of a monomial lambda**m * e_{k,l} is 3m + k - l
-(rows and columns counted from 1).  Dressing factors are the two unipotent
-exponentials
+(rows and columns counted from 1).  Since L1**3 = lambda * 1, every power
+L1**(3q + s) is lambda**q * L1**s with 0 <= s < 3, read off in closed form.
+
+``conjugate(p, m, p_inv, degree=d)`` returns only the principal degree-d part
+of p * m * p_inv: the three factors are split into homogeneous pieces and
+only the products P_a * M_c * Q_b with a + c + b = d are formed.  Dressing
+factors have degrees <= 0, so for m = L1**r the pieces meet degree zero only
+for small r, and the cost does not grow with r.
+
+Dressing factors are the two unipotent exponentials
 
     exp(g*f0) = 1 + g*e33*L1**(-1)
     exp(g*f1) = 1 + 2g*(e11 + e22)*L1**(-1) + 2g**2*e11*L1**(-2)
@@ -185,30 +193,19 @@ class DiagTraceless:
 
 
 _LAMBDA = LaurentMat({(1, 0, 0): RF_ONE, (2, 1, 0): RF_ONE, (0, 2, 1): RF_ONE})
-_LAMBDA_INV = LaurentMat({(0, 1, 0): RF_ONE, (1, 2, 0): RF_ONE, (2, 0, -1): RF_ONE})
-
-_power_cache: Dict[int, LaurentMat] = {0: LaurentMat.identity(), 1: _LAMBDA, -1: _LAMBDA_INV}
+# L1**0, L1**1, L1**2; every other power is lambda**q times one of these
+_LAMBDA_POWERS = (LaurentMat.identity(), _LAMBDA, _LAMBDA * _LAMBDA)
 
 
 def lambda_power(r: int) -> LaurentMat:
-    """The r-th power of the cyclic generator, any integer r."""
-    if r in _power_cache:
-        return _power_cache[r]
-    step = _LAMBDA if r > 0 else _LAMBDA_INV
-    n = abs(r)
-    acc = _power_cache[0]
-    k = 0
-    sign = 1 if r > 0 else -1
-    # extend from the largest cached power of the same sign
-    for cached in sorted(_power_cache, key=abs, reverse=True):
-        if cached * sign > 0 and abs(cached) <= n:
-            acc, k = _power_cache[cached], abs(cached)
-            break
-    while k < n:
-        acc = acc * step
-        k += 1
-        _power_cache[sign * k] = acc
-    return acc
+    """The r-th power of the cyclic generator, any integer r.
+
+    Since L1**3 = lambda * 1, writing r = 3q + s with 0 <= s < 3 gives
+    L1**r = lambda**q * L1**s: the entries of L1**s with their lambda
+    exponents shifted by q.
+    """
+    q, s = divmod(r, 3)
+    return LaurentMat({(i, j, e + q): v for (i, j, e), v in _LAMBDA_POWERS[s].terms.items()})
 
 
 def centralizer_power(r: int) -> LaurentMat:
@@ -247,11 +244,35 @@ def grade_support(m: LaurentMat) -> list:
     return sorted({grade(*k) for k in m.terms})
 
 
-def conjugate(p: LaurentMat, m: LaurentMat, p_inv: LaurentMat) -> LaurentMat:
-    """p * m * p_inv, after checking that p_inv really inverts p."""
+def _grade_pieces(m: LaurentMat) -> Dict[int, LaurentMat]:
+    """m split into its nonzero homogeneous pieces, keyed by principal degree."""
+    pieces: Dict[int, Dict[Key, RatFunc]] = {}
+    for k, v in m.terms.items():
+        pieces.setdefault(grade(*k), {})[k] = v
+    return {d: LaurentMat(t) for d, t in pieces.items()}
+
+
+def conjugate(
+    p: LaurentMat, m: LaurentMat, p_inv: LaurentMat, degree: int | None = None
+) -> LaurentMat:
+    """p * m * p_inv, after checking that p_inv really inverts p.
+
+    With ``degree=d`` only the principal degree-d part is returned, formed
+    as the sum of P_a * M_c * Q_b over the grade pieces of p, m and p_inv
+    with a + c + b = d; no other part of the product is computed.
+    """
     if p * p_inv != LaurentMat.identity():
         raise ValueError("p_inv is not the inverse of p")
-    return p * m * p_inv
+    if degree is None:
+        return p * m * p_inv
+    p_parts, m_parts, q_parts = _grade_pieces(p), _grade_pieces(m), _grade_pieces(p_inv)
+    acc = LaurentMat.zero()
+    for a, pa in p_parts.items():
+        for c, mc in m_parts.items():
+            qb = q_parts.get(degree - a - c)
+            if qb is not None:
+                acc = acc + pa * mc * qb
+    return acc
 
 
 def lambda_decompose(m: LaurentMat) -> list:

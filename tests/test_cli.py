@@ -142,3 +142,22 @@ def test_negative_parameters_with_equals_form(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["kdv-check", "0,1", "--c", "-3,2", "--r", "1"])  # read as a missing value
     assert exc.value.code == 2
+
+
+def test_kdv_check_rejects_map_index_before_generating(capsys, monkeypatch):
+    def never(*args):
+        raise RuntimeError("generation must not run for a usage error")
+
+    monkeypatch.setattr("mkdv_a22.cli.generate_multistep", never)
+    code, out, err = run_cli(capsys, "kdv-check", "0,1", "--c=2,5", "--r", "1", "--i", "5")
+    assert code == 2 and out == ""
+    assert "scalar map index" in err
+
+
+def test_flow_far_above_threshold(capsys):
+    # the cost of a flow no longer grows with r
+    code, out, _ = run_cli(capsys, "flow", "0,1", "--c=2,5", "--r", "6000000000001")
+    assert code == 0
+    data = json.loads(out)
+    assert data["field"] == {"num": [], "den": ["1"]}
+    assert data["gamma"] == ["0", "0"] and data["residual_zero"] is True

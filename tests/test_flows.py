@@ -17,7 +17,14 @@ from mkdv_a22.flows import (
     vanishing_threshold,
 )
 from mkdv_a22.generation import degree_vector, generate_multistep, sample_c
-from mkdv_a22.loop import LaurentMat, exp_dressing
+from mkdv_a22.loop import (
+    LaurentMat,
+    conjugate,
+    exp_dressing,
+    grade_project,
+    grade_support,
+    lambda_power,
+)
 
 
 def rf(num, den=None):
@@ -231,3 +238,22 @@ def test_flow_sample_json():
     assert data["J"] == [0] and data["c"] == ["3"] and data["r"] == 1
     assert data["gamma"] == ["-1"] and data["residual_zero"] is True
     assert data["field"] == {"num": ["-1"], "den": ["9", "6", "1"]}
+
+
+def test_graded_conjugate_matches_projection_of_full_conjugate():
+    # degree-d part formed from grade pieces == grade_project of the full
+    # conjugate, for dressing products of every basic word of length <= 3
+    mixed = (
+        lambda_power(1)
+        + LaurentMat({(0, 0, 0): rf(X), (1, 1, 0): rf(ONE), (2, 2, 0): rf(-X - 1)})
+        + LaurentMat({(2, 0, -1): rf(ONE, X + 2), (0, 2, 1): rf(X * X)})
+    )
+    assert grade_support(mixed) == [-1, 0, 1]
+    ms = [lambda_power(r) for r in (-1, 1, 5, 7)] + [mixed]
+    params = (F(-3, 2), F(2), F(7, 4))
+    for js in [(), (0,), (1,), (0, 1), (1, 0), (0, 1, 0), (1, 0, 1)]:
+        p, p_inv = dressing_product(generate_multistep(js, params[: len(js)]))
+        for m in ms:
+            full = conjugate(p, m, p_inv)
+            for d in range(-3, 4):
+                assert conjugate(p, m, p_inv, degree=d) == grade_project(full, d), (js, d)

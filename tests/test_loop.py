@@ -199,3 +199,18 @@ def test_serialization():
     g = rf(ONE, X + 2)
     data = exp_dressing(g, 0).to_json()
     assert {"row": 3, "col": 1, "lambda_exp": -1, "ratfunc": {"num": ["1"], "den": ["2", "1"]}} in data
+
+
+def test_lambda_power_closed_form_steps():
+    for r in range(-20, 21):
+        assert lambda_power(r) == lambda_power(r - 1) * lambda_power(1)
+    one = RatFunc.one()
+    assert lambda_power(3) == LaurentMat({(i, i, 1): one for i in range(3)})
+
+
+def test_graded_conjugate_checks_inverse():
+    g = rf(ONE, X + 7)
+    p = exp_dressing(g, 0)
+    for d in (-1, 0, 1):
+        with pytest.raises(ValueError):
+            conjugate(p, lambda_power(1), p, degree=d)
