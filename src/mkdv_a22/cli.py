@@ -133,19 +133,16 @@ def cmd_verify(args) -> int:
         seed=args.seed, samples=args.samples, depth=args.depth, tolerance=args.tolerance
     )
     reports = run_suites(names, config)
+    payload = _dump({"reports": [r.to_json() for r in reports]})
     if args.json:
-        payload = _dump({"reports": [r.to_json() for r in reports]})
         print(payload)
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(payload + "\n")
     else:
         for rep in reports:
             for line in rep.lines():
                 print(line)
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(_dump({"reports": [r.to_json() for r in reports]}) + "\n")
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(payload + "\n")
     return 0 if all(r.ok for r in reports) else 1
 
 

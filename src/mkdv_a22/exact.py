@@ -43,10 +43,6 @@ class Poly:
         raise AttributeError("Poly is immutable")
 
     @staticmethod
-    def const(c) -> "Poly":
-        return Poly((c,))
-
-    @staticmethod
     def lift(p) -> "Poly":
         if isinstance(p, Poly):
             return p
@@ -630,10 +626,6 @@ def rat_to_str(c) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     return f"{c.numerator}/{c.denominator}"
-
-
-def rat_from_str(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def poly_to_json(p: Poly) -> list:

@@ -116,10 +116,10 @@ def mkdv_field(trace: GenerationTrace, r: int) -> TangentVector:
     return TangentVector(-diag.d1.derivative())
 
 
-def family_tangents(j_seq: Sequence[int], c: Sequence[Fraction]) -> List[TangentVector]:
+def family_tangents(trace: GenerationTrace) -> List[TangentVector]:
     """Exact partial derivatives of the attached oper in each parameter.
 
-    The generation runs once over the rationals; ``parameter_derivatives``
+    ``parameter_derivatives`` differentiates the given generation run and
     gives the polynomial derivatives (dy0, dy1) of the final pair in each
     c_i, and since v = (2 ln y1 - ln y0)' the i-th tangent is
 
@@ -134,20 +134,15 @@ def family_tangents(j_seq: Sequence[int], c: Sequence[Fraction]) -> List[Tangent
     with a the recorded Wronskian constant; it is asserted here as a guard
     on the derivative propagation.
     """
-    js = check_basic(j_seq)
-    if len(c) != len(js):
-        raise ValueError(f"need {len(js)} parameters, got {len(c)}")
-    trace = generate_multistep(js, [Fraction(ci) for ci in c])
     y0, y1 = trace.final
     tangents = [
         TangentVector((RatFunc(dy1 * 2, y1) - RatFunc(dy0, y0)).derivative())
         for dy0, dy1 in parameter_derivatives(trace)
     ]
-    if js:
+    if trace.J:
         a = trace.consts[-1]
-        j_last = js[-1]
         prev, last = trace.pairs[-2], trace.pairs[-1]
-        if j_last == 0:
+        if trace.J[-1] == 0:
             expected = RatFunc(prev.y1 ** 4 * a, last.y0 ** 2)
         else:
             expected = RatFunc(prev.y0 * (-2 * a), last.y1 ** 2)
@@ -232,6 +227,6 @@ def flow_sample(j_seq: Sequence[int], c: Sequence[Fraction], r: int) -> FlowSamp
     if field.is_zero():
         gamma = tuple(Fraction(0) for _ in js)
         return FlowSample(js, cs, r, field, gamma, True)
-    tangents = family_tangents(js, cs)
+    tangents = family_tangents(trace)
     dec = decompose_flow(field, tangents)
     return FlowSample(js, cs, r, field, dec.gamma, dec.residual_zero)

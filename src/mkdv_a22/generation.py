@@ -17,6 +17,11 @@ always degree increasing and is normalized so that every pair stays monic:
 the new component is y_{j,0} + c*y_j where y_{j,0} is the unique monic
 solution with vanishing coefficient at the old degree.
 
+In the monomial basis each Wronskian equation is triangular: Wr(y, x**i)
+has top term (i - deg y) lc(y) x**(i + deg y - 1).  One back-substitution
+kernel (``_solve_below``) therefore serves a generation step, the
+differentiated step of ``parameter_derivatives`` and ``is_fertile``.
+
 Everything is exact over the rationals, including the parameter derivatives
 of a run (``parameter_derivatives``); the only numerics live in
 ``bethe_residuals``, a floating-point spot check of the critical equations.
@@ -39,7 +44,6 @@ from .exact import (
     poly_to_json,
     rat_to_str,
     ratfunc_to_json,
-    solve_linear,
     wronskian,
 )
 from .loop import CARTAN
@@ -128,67 +132,65 @@ def wronskian_rhs(pair: PolyPair, j: int) -> Poly:
     return pair.component(i) ** (-CARTAN.a[i][j])
 
 
-def _wronskian_rows(y: Poly, columns: Sequence[int], nrows: int) -> list:
-    """Matrix of b -> Wr(y, b) on the monomials x**i, i in columns, truncated
-    to x**0 .. x**(nrows - 1): Wr(y, x**i) = sum_k (i - k) y_k x**(k + i - 1)."""
-    return [[(2 * i - n - 1) * y.coeff(n + 1 - i) for i in columns] for n in range(nrows)]
+def _solve_below(y: Poly, target: Poly, degree: int) -> Optional[List[Fraction]]:
+    """Coefficients b_0 .. b_{degree-1} of the b with Wr(y, b) = target and
+    b_{deg y} = 0, or None when there is none.
 
-
-def _solve_below(
-    y: Poly, target: Poly, degree: int, zero_coeff_index: int
-) -> Optional[List[Fraction]]:
-    """Coefficients b_0 .. b_{degree-1} of a b with Wr(y, b) = target and
-    b_{zero_coeff_index} = 0, or None when the linear system is inconsistent.
-
-    With zero_coeff_index = deg y the solution is unique: the kernel of
-    Wr(y, .) is spanned by y itself.
+    Wr(y, x**i) = sum_k (i - k) y_k x**(k + i - 1) has top term
+    (i - d) lc(y) x**(i + d - 1), d = deg y, so the system is triangular from
+    the top: running i from degree - 1 down to 0, row i + d - 1 fixes
+    b_i = resid / ((i - d) lc(y)) and b_i Wr(y, x**i) leaves the residual.
+    The kernel of Wr(y, .) is spanned by y, so b_d stays 0 and the solution
+    is unique.  What remains of the residual sits in rows that fix no
+    coefficient; it must vanish.
     """
-    unknowns = [i for i in range(degree) if i != zero_coeff_index]
-    nrows = max(y.degree() + degree, target.degree() + 1)
-    sol = solve_linear(
-        _wronskian_rows(y, unknowns, nrows), [target.coeff(n) for n in range(nrows)]
-    )
-    if sol is None:
-        return None
+    if y.is_zero():  # Wr(0, b) = 0
+        return None if target.coeffs else [Fraction(0)] * degree
+    d = y.degree()
+    lc = y.leading()
+    resid = list(target.coeffs)
+    resid += [0] * (degree + d - 1 - len(resid))
     coeffs = [Fraction(0)] * degree
-    for i, b in zip(unknowns, sol):
-        coeffs[i] = b
-    return coeffs
+    for i in range(degree - 1, -1, -1):
+        if i == d:
+            continue
+        b = resid[i + d - 1] * _one_over((i - d) * lc)
+        if b:
+            coeffs[i] = b
+            for k, yk in enumerate(y.coeffs):
+                if k != i:
+                    resid[k + i - 1] -= (i - k) * yk * b
+    return None if any(resid) else coeffs
 
 
-def wronskian_solve(
-    y: Poly, rhs: Poly, target_degree: int, zero_coeff_index: int
-) -> Tuple[object, Poly]:
+def wronskian_solve(y: Poly, rhs: Poly, target_degree: int) -> Tuple[object, Poly]:
     """The unique monic y_base with Wr(y, y_base) = a * rhs.
 
-    y_base has the requested degree, its coefficient at x**zero_coeff_index
-    vanishes, and the constant a is pinned by the leading coefficients:
-    a = lc(y) * (target_degree - deg y) / lc(rhs).  Requires a degree
-    increasing configuration; raises InfertileError when the linear system
-    for the remaining coefficients is inconsistent.
+    y_base has the requested degree, its coefficient at x**deg y vanishes
+    (adding a multiple of y does not change the Wronskian), and the constant
+    a is pinned by the leading coefficients:
+    a = lc(y) * (target_degree - deg y) / lc(rhs).  The lower coefficients
+    come from one back-substitution (``_solve_below``).  Requires a degree
+    increasing configuration; raises InfertileError when the remaining
+    triangular system is inconsistent.
     """
     d = y.degree()
     if target_degree <= d:
         raise ValueError("generation must be degree increasing")
     if rhs.is_zero():
         raise ValueError("right-hand side must be nonzero")
-    if not 0 <= zero_coeff_index < target_degree:
-        raise ValueError("pinned coefficient index out of range")
     a = y.leading() * (target_degree - d) * _one_over(rhs.leading())
     lead = Poly([0] * target_degree + [1])
-    coeffs = _solve_below(y, rhs * a - wronskian(y, lead), target_degree, zero_coeff_index)
+    coeffs = _solve_below(y, rhs * a - wronskian(y, lead), target_degree)
     if coeffs is None:
-        raise InfertileError(
-            f"no degree-{target_degree} solution with pinned index {zero_coeff_index}"
-        )
+        raise InfertileError(f"no degree-{target_degree} solution with pinned index {d}")
     return a, Poly(coeffs + [Fraction(1)])
 
 
 def _step(pair: PolyPair, j: int, c) -> Tuple[PolyPair, object]:
-    k = pair.degrees()
-    target = degree_transform(k, j)[j]
+    target = degree_transform(pair.degrees(), j)[j]
     rhs = wronskian_rhs(pair, j)
-    a, base = wronskian_solve(pair.component(j), rhs, target, k[j])
+    a, base = wronskian_solve(pair.component(j), rhs, target)
     new_component = base + pair.component(j) * c
     return pair.with_component(j, new_component), a
 
@@ -264,8 +266,9 @@ def parameter_derivatives(trace: GenerationTrace) -> List[PolyPair]:
 
         Wr(y_j, base') = a*rhs' - Wr(y_j', base)
 
-    is the same pinned linear system as the step itself (deg base' < deg base,
-    vanishing coefficient at x**deg y_j), and y_j' becomes base' + c_l*y_j'.
+    is the same triangular system as the step itself (deg base' < deg base,
+    vanishing coefficient at x**deg y_j), solved by the same back-substitution
+    with a new right-hand side, and y_j' becomes base' + c_l*y_j'.
     """
     derivs: List[PolyPair] = []
     for l, j in enumerate(trace.J):
@@ -278,7 +281,7 @@ def parameter_derivatives(trace: GenerationTrace) -> List[PolyPair]:
         rhs_factor = old.component(i) ** (n - 1) * n
         for k, dy in enumerate(derivs):
             target = rhs_factor * dy.component(i) * a - wronskian(dy.component(j), base)
-            coeffs = _solve_below(y, target, base.degree(), y.degree())
+            coeffs = _solve_below(y, target, base.degree())
             if coeffs is None:
                 raise AssertionError("differentiated Wronskian step has no solution")
             derivs[k] = dy.with_component(j, Poly(coeffs) + dy.component(j) * c)
@@ -290,18 +293,16 @@ def is_fertile(pair: PolyPair) -> bool:
     """Both Wronskian equations admit a polynomial solution.
 
     For each direction the solution degree is bounded by
-    max(deg y_j, deg rhs + 1 - deg y_j), so solvability reduces to one exact
-    linear system per direction over all coefficients up to that bound.
+    max(deg y_j, deg rhs + 1 - deg y_j), so solvability is one
+    back-substitution per direction over the coefficients up to that bound.
+    Pinning the coefficient at x**deg y_j to 0 loses nothing: adding a
+    multiple of y_j does not change the Wronskian.
     """
     for j in (0, 1):
         y = pair.component(j)
         rhs = wronskian_rhs(pair, j)
         bound = max(y.degree(), rhs.degree() + 1 - y.degree())
-        if bound < 0:
-            return False
-        nrows = max(rhs.degree() + 1, y.degree() + bound)
-        rows = _wronskian_rows(y, range(bound + 1), nrows)
-        if solve_linear(rows, [rhs.coeff(n) for n in range(nrows)]) is None:
+        if _solve_below(y, rhs, bound + 1) is None:
             return False
     return True
 

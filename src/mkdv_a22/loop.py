@@ -98,9 +98,6 @@ class LaurentMat:
     def entry(self, i: int, j: int, e: int) -> RatFunc:
         return self.terms.get((i, j, e), RF_ZERO)
 
-    def support(self):
-        return sorted(self.terms)
-
     def __add__(self, other: "LaurentMat") -> "LaurentMat":
         out = dict(self.terms)
         for key, val in other.terms.items():

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .exact import RF_ZERO, RatFunc, ratfunc_to_json
 from .flows import mkdv_field
 from .generation import GenerationTrace
-from .miura import DiffOp3, OpTangent, d_miura_map_a1, embed_a1, miura_from_trace, miura_map
+from .miura import DiffOp3, OpTangent, d_miura_map_a1, embed_a1, miura_from_pair, miura_map
 
 
 @lru_cache(maxsize=None)
@@ -303,8 +303,9 @@ def diagram_sides(
 ) -> Dict[int, Tuple[DiffOp3, OpTangent, Tuple[RatFunc, RatFunc]]]:
     """For each scalar map i in ``maps``: the image operator and both sides of
     the diagram.  The oper, its embedding and the mKdV field are built once
-    and shared by every map."""
-    emb = embed_a1(miura_from_trace(trace))
+    and shared by every map.  The oper is read off the final pair: the sum of
+    the gauge increments telescopes to (2 ln y1 - ln y0)'."""
+    emb = embed_a1(miura_from_pair(trace.final))
     x = mkdv_field(trace, r).x_component
     sides = {}
     for i in maps:

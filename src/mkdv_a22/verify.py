@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .exact import (
     ONE,
@@ -68,7 +68,6 @@ class RunConfig:
     samples: int = 3
     depth: int = 10
     tolerance: float = 1e-8
-    output: Optional[str] = None
 
     def __post_init__(self):
         if self.samples < 1:
@@ -320,7 +319,7 @@ def verify_flows(
                     rep.add(f"residual J={j_seq} r={r} sample {s}", True, "field = 0")
                     continue
                 if tangents is None:
-                    tangents = family_tangents(j_seq, c)
+                    tangents = family_tangents(trace)
                 dec = decompose_flow(fld, tangents)
                 rep.add(
                     f"residual J={j_seq} r={r} sample {s}",
@@ -344,7 +343,7 @@ def verify_flows(
     for j_seq in basic_words([1, 2, 3]):
         c = sample_c(j_seq, rng)
         trace = generate_multistep(j_seq, c)
-        tangent = family_tangents(j_seq, c)[-1]
+        tangent = family_tangents(trace)[-1]
         a = trace.consts[-1] * (1 if j_seq[-1] == 0 else -2)
         coeffs = laurent_at_infinity(tangent.x_component * (Fraction(1) / a), 12)
         lead = next((x for x in coeffs if x != 0), None)

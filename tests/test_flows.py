@@ -74,8 +74,8 @@ def test_mkdv_field_one_step_families():
 
 def test_family_tangents_one_step():
     c = F(3)
-    assert family_tangents((0,), (c,))[0].x_component == rf(ONE, (X + c) ** 2)
-    assert family_tangents((1,), (c,))[0].x_component == rf(-ONE * 2, (X + c) ** 2)
+    assert family_tangents(generate_multistep((0,), (c,)))[0].x_component == rf(ONE, (X + c) ** 2)
+    assert family_tangents(generate_multistep((1,), (c,)))[0].x_component == rf(-ONE * 2, (X + c) ** 2)
 
 
 def test_family_tangents_match_difference_quotient_direction():
@@ -85,7 +85,7 @@ def test_family_tangents_match_difference_quotient_direction():
     c = (F(2), F(5))
     from mkdv_a22.miura import miura_from_trace
 
-    tangents = family_tangents(j_seq, c)
+    tangents = family_tangents(generate_multistep(j_seq, c))
     h = F(1, 1000000)
     for i in range(2):
         cp = list(c)
@@ -129,7 +129,7 @@ def test_family_tangents_match_sympy_oracle(j_seq):
     y0, y1 = _symbolic_final_pair(j_seq, x, cs)
     v = sp.diff(2 * sp.log(y1) - sp.log(y0), x)
     for point in ((3, -1, 2)[: len(j_seq)], (0,) * len(j_seq)):
-        tangents = family_tangents(j_seq, [F(p) for p in point])
+        tangents = family_tangents(generate_multistep(j_seq, [F(p) for p in point]))
         at = dict(zip(cs, point))
         for ci, t in zip(cs, tangents):
             ours = t.x_component
@@ -140,18 +140,18 @@ def test_family_tangents_match_sympy_oracle(j_seq):
 
 def test_family_tangents_at_repeated_root():
     # y1 = x**2 at c = 0: the tangents stay exact where v has a double pole
-    got = [t.x_component for t in family_tangents((0, 1), (F(0), F(0)))]
+    got = [t.x_component for t in family_tangents(generate_multistep((0, 1), (F(0), F(0))))]
     assert got == [rf(-3 * ONE, X**2), rf(-4 * ONE, X**3)]
 
 
 def test_decompose_flow_one_step():
     c = F(3)
     t0 = generate_multistep((0,), (c,))
-    dec = decompose_flow(mkdv_field(t0, 1), family_tangents((0,), (c,)))
+    dec = decompose_flow(mkdv_field(t0, 1), family_tangents(generate_multistep((0,), (c,))))
     assert dec.gamma == (F(-1),) and dec.residual_zero
 
     t1 = generate_multistep((1,), (c,))
-    dec1 = decompose_flow(mkdv_field(t1, 1), family_tangents((1,), (c,)))
+    dec1 = decompose_flow(mkdv_field(t1, 1), family_tangents(generate_multistep((1,), (c,))))
     assert dec1.gamma == (F(-1),) and dec1.residual_zero
 
 

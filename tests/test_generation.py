@@ -6,12 +6,13 @@ from fractions import Fraction as F
 import pytest
 import sympy as sp
 
-from mkdv_a22.exact import ONE, X, Poly, wronskian
+from mkdv_a22.exact import ONE, X, Poly, solve_linear, wronskian
 from mkdv_a22.generation import (
     DegreeVector,
     EMPTY_PAIR,
     InfertileError,
     PolyPair,
+    _solve_below,
     bethe_residuals,
     check_basic,
     degree_transform,
@@ -73,28 +74,79 @@ def test_is_generic():
 # --- one Wronskian step -----------------------------------------------------------
 
 def test_wronskian_solve_examples():
-    a, base = wronskian_solve(ONE, ONE, 1, 0)
+    a, base = wronskian_solve(ONE, ONE, 1)
     assert (a, base) == (1, X)
 
-    a, base = wronskian_solve(ONE, X + 3, 2, 0)
+    a, base = wronskian_solve(ONE, X + 3, 2)
     assert a == 2 and base == X * X + 6 * X
     assert wronskian(ONE, base) == (X + 3) * 2
 
-    a, base = wronskian_solve(ONE, (X + 1) ** 4, 5, 0)
+    a, base = wronskian_solve(ONE, (X + 1) ** 4, 5)
     assert a == 5 and base == (X + 1) ** 5 - ONE
     assert wronskian(ONE, base) == (X + 1) ** 4 * 5
 
 
 def test_wronskian_solve_rejects_non_increasing():
     with pytest.raises(ValueError):
-        wronskian_solve(X, ONE, 1, 0)
+        wronskian_solve(X, ONE, 1)
 
 
 def test_wronskian_solve_infertile():
     # from the pair (x, x) in direction 1: x*t' - t = x forces the
     # x-coefficient equation 0 = 1
     with pytest.raises(InfertileError):
-        wronskian_solve(X, X, 2, 1)
+        wronskian_solve(X, X, 2)
+
+
+def _dense_solve_below(y, target, degree):
+    """Oracle: the matrix of b -> Wr(y, b) on x**i, i < degree, i != deg y,
+    with Wr(y, x**i) = sum_k (i - k) y_k x**(k + i - 1), solved densely."""
+    unknowns = [i for i in range(degree) if i != y.degree()]
+    nrows = max(y.degree() + degree, target.degree() + 1)
+    rows = [[(2 * i - n - 1) * y.coeff(n + 1 - i) for i in unknowns] for n in range(nrows)]
+    sol = solve_linear(rows, [target.coeff(n) for n in range(nrows)])
+    if sol is None:
+        return None
+    coeffs = [F(0)] * degree
+    for i, b in zip(unknowns, sol):
+        coeffs[i] = b
+    return coeffs
+
+
+def _random_poly(rng, degree, lead):
+    return Poly([F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(degree)] + [lead])
+
+
+def test_back_substitution_matches_dense_oracle():
+    rng = random.Random(31)
+    solvable = unsolvable = 0
+    for case in range(300):
+        d = rng.randint(0, 4)
+        lead = rng.choice([1, 1, 2, F(-1, 3), F(5, 2)])
+        y = X**d * lead if case % 4 == 0 else _random_poly(rng, d, lead)
+        degree = rng.randint(1, 6)
+        b0 = Poly([F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(degree)])
+        target = wronskian(y, b0)
+        if case % 3 == 1:
+            target = target + X ** rng.randint(0, degree + d) * F(rng.randint(1, 3))
+        elif case % 3 == 2:
+            target = _random_poly(rng, rng.randint(0, degree + d), 1)
+        got = _solve_below(y, target, degree)
+        want = _dense_solve_below(y, target, degree)
+        assert (got is None) == (want is None), (y, target, degree)
+        if got is None:
+            unsolvable += 1
+            continue
+        solvable += 1
+        b = Poly(got)
+        assert len(got) == degree and b.coeff(d) == 0
+        assert wronskian(y, b) == target
+        if case % 3 == 0:
+            assert b == b0 - y * (b0.coeff(d) / F(lead))
+    assert solvable > 50 and unsolvable > 50
+    # Wr(0, b) = 0: solvable exactly when the target is zero
+    assert _solve_below(Poly(), Poly(), 2) == _dense_solve_below(Poly(), Poly(), 2) == [0, 0]
+    assert _solve_below(Poly(), ONE, 2) is _dense_solve_below(Poly(), ONE, 2) is None
 
 
 def test_generate_step_examples():

@@ -1,8 +1,8 @@
 """CLI output against the sha256 hashes recorded in perfbench/golden.json.
 
-The seed-0 case lists of the mkdv-flows and kdv-check workloads are replayed
-through ``cli.main``; every case with a recorded hash must print exactly the
-recorded output.  ``perfbench/`` is only read.
+The seed-0 case lists of the mkdv-flows, kdv-check and population workloads
+are replayed through ``cli.main``; every case with a recorded hash must print
+exactly the recorded output.  ``perfbench/`` is only read.
 """
 
 import hashlib
@@ -30,7 +30,7 @@ CASES = _load_cases()
 GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())
 
 
-@pytest.mark.parametrize("workload", ["mkdv-flows", "kdv-check"])
+@pytest.mark.parametrize("workload", ["mkdv-flows", "kdv-check", "population"])
 def test_seed0_outputs_match_recorded_hashes(workload):
     recorded = GOLDEN[workload]
     checked = 0
