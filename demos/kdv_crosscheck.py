@@ -11,8 +11,8 @@ import random
 from fractions import Fraction
 
 from mkdv_a22.generation import generate_multistep, sample_c
-from mkdv_a22.miura import embed_a1, miura_from_trace, miura_map
-from mkdv_a22.psdo import consistency_check, cube_root, from_diffop3, kdv_field
+from mkdv_a22.miura import consistency_check, embed_a1, miura_from_trace, miura_map
+from mkdv_a22.psdo import cube_root, from_diffop3, kdv_field
 
 
 def main():

@@ -6,9 +6,10 @@ The package is organized bottom-up:
 * ``exact``      rationals, polynomials, rational functions, linear solving
 * ``loop``       the sl(3) loop algebra in the lambda realization
 * ``generation`` Wronskian generation of critical-point pairs
-* ``miura``      Miura opers, gauge moves, and scalar (third-order) reductions
-* ``flows``      mKdV vector fields on generated families, exact tangents
 * ``psdo``       pseudodifferential calculus, cube roots, KdV flows
+* ``flows``      mKdV vector fields on generated families, exact tangents
+* ``miura``      Miura opers, gauge moves, scalar (third-order) reductions,
+                 and the mKdV-to-KdV diagram
 * ``verify``     seeded verification suites over all of the above
 * ``cli``        command-line front end (``mkdv-a22``)
 """
@@ -48,19 +49,7 @@ from .loop import (
     lambda_decompose,
     lambda_power,
 )
-from .miura import (
-    DiffOp3,
-    MiuraOper,
-    MiuraOperA1,
-    alpha_pairing,
-    d_miura_map,
-    embed_a1,
-    gauge_step,
-    miura_from_pair,
-    miura_from_trace,
-    miura_map,
-    ricatti_check,
-)
+from .psdo import DiffOp3, PsDO, cube_root, frac_power_plus, kdv_field, psdo_mul
 from .flows import (
     FlowSample,
     TangentVector,
@@ -71,6 +60,18 @@ from .flows import (
     mkdv_field,
     vanishing_threshold,
 )
-from .psdo import PsDO, consistency_check, cube_root, frac_power_plus, kdv_field, psdo_mul
+from .miura import (
+    MiuraOper,
+    MiuraOperA1,
+    alpha_pairing,
+    consistency_check,
+    d_miura_map,
+    embed_a1,
+    gauge_step,
+    miura_from_pair,
+    miura_from_trace,
+    miura_map,
+    ricatti_check,
+)
 
 __version__ = "0.1.0"

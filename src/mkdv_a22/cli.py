@@ -24,8 +24,7 @@ from typing import Optional, Sequence
 from .exact import rat_to_str
 from .generation import check_basic, degree_walk, generate_multistep
 from .flows import admissible_r, flow_sample
-from .miura import miura_from_trace
-from .psdo import diagram_sides
+from .miura import diagram_sides, miura_from_trace
 from .verify import RunConfig, SUITES, run_suites
 
 

@@ -20,10 +20,6 @@ from typing import Iterable, Optional, Sequence
 Rat = Fraction
 
 
-def _is_zero(c) -> bool:
-    return c == 0
-
-
 class Poly:
     """Dense univariate polynomial: ``coeffs[i]`` multiplies x**i.
 
@@ -35,7 +31,7 @@ class Poly:
 
     def __init__(self, coeffs: Iterable = ()):
         cs = list(coeffs)
-        while cs and _is_zero(cs[-1]):
+        while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -129,7 +125,7 @@ class Poly:
         quo = [Fraction(0)] * (dq + 1)
         for k in range(dq, -1, -1):
             top = rem[k + len(o.coeffs) - 1]
-            if _is_zero(top):
+            if top == 0:
                 continue
             q = top * inv
             quo[k] = q
@@ -163,9 +159,9 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return _coeffs_equal(self.coeffs, other.coeffs)
+            return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return _coeffs_equal(self.coeffs, Poly((other,)).coeffs)
+            return self.coeffs == Poly((other,)).coeffs
         return NotImplemented
 
     def __hash__(self):
@@ -180,7 +176,7 @@ class Poly:
         parts = []
         for i in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[i]
-            if _is_zero(c):
+            if c == 0:
                 continue
             if i == 0:
                 parts.append(f"{c}")
@@ -189,12 +185,6 @@ class Poly:
             else:
                 parts.append(f"{c}*x" if i == 1 else f"{c}*x^{i}")
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def _coeffs_equal(a, b) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(x == y for x, y in zip(a, b))
 
 
 X = Poly((Fraction(0), Fraction(1)))
@@ -583,7 +573,7 @@ def _gauss_jordan(rows: list, ncols: int):
     for col in range(ncols):
         pr = None
         for r in range(rank, nrows):
-            if not _is_zero(rows[r][col]):
+            if rows[r][col] != 0:
                 pr = r
                 break
         if pr is None:
@@ -592,12 +582,12 @@ def _gauss_jordan(rows: list, ncols: int):
         inv = _one_over(rows[rank][col])
         rows[rank] = [c * inv for c in rows[rank]]
         for r in range(nrows):
-            if r != rank and not _is_zero(rows[r][col]):
+            if r != rank and rows[r][col] != 0:
                 f = rows[r][col]
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
         pivots[col] = rank
         rank += 1
-    bad = next((r for r in range(rank, nrows) if not _is_zero(rows[r][ncols])), None)
+    bad = next((r for r in range(rank, nrows) if rows[r][ncols] != 0), None)
     return pivots, bad
 
 

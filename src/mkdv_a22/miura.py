@@ -20,18 +20,25 @@ tangents X*h0 collapse to the closed forms
     dm1 : X -> (X' - 2vX) d
 
 which are also available for arbitrary sum-zero tangents via the product
-rule over the ordered factors.
+rule over the ordered factors.  Both the maps and their derivatives are
+products of first-order ``PsDO`` factors d - v_k.
+
+The mKdV-to-KdV diagram closes here: the mKdV flow value X*h0 pushed
+through the derivative of a scalar map must equal the KdV flow
+[L, (L^(r/3))+] at the image operator L.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
+from . import psdo
 from .exact import RF_ONE, RF_ZERO, RatFunc, log_derivative, ratfunc_to_json
+from .flows import mkdv_field
 from .generation import GenerationTrace, PolyPair
 from .loop import CARTAN
+from .psdo import DiffOp3, OpTangent, PsDO
 
 # coefficient of h0 in h_j (the two Cartan diagonals satisfy 2*h0 + h1 = 0)
 _H0_COEFF = {0: 1, 1: -2}
@@ -62,24 +69,6 @@ class MiuraOperA1:
     @property
     def vs(self) -> Tuple[RatFunc, RatFunc, RatFunc]:
         return (self.v1, self.v2, self.v3)
-
-
-@dataclass(frozen=True)
-class DiffOp3:
-    """d^3 + u1*d + u0."""
-
-    u1: RatFunc
-    u0: RatFunc
-
-    def to_json(self) -> dict:
-        return {"u1": ratfunc_to_json(self.u1), "u0": ratfunc_to_json(self.u0)}
-
-
-class OpTangent(NamedTuple):
-    """Tangent to the space of operators d^3 + u1*d + u0."""
-
-    u1: RatFunc
-    u0: RatFunc
 
 
 def miura_from_pair(pair: PolyPair) -> MiuraOper:
@@ -123,58 +112,24 @@ def embed_a1(oper: MiuraOper) -> MiuraOperA1:
     return MiuraOperA1(oper.v, RF_ZERO, -oper.v)
 
 
-# --- differential operator composition --------------------------------------
-#
-# A differential operator is a list of RatFunc coefficients, ascending in the
-# order of d/dx.  Composition uses d^i u = sum_s C(i, s) u^(s) d^(i-s).
-
-DiffOp = List[RatFunc]
-
-
-def _dop_trim(c: DiffOp) -> DiffOp:
-    while c and c[-1].is_zero():
-        c.pop()
-    return c
-
-
-def _dop_compose(a: Sequence[RatFunc], b: Sequence[RatFunc]) -> DiffOp:
-    out: List[RatFunc] = [RF_ZERO] * (len(a) + len(b))
-    for i, ai in enumerate(a):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(b):
-            if bj.is_zero():
-                continue
-            deriv = bj
-            for s in range(i + 1):
-                term = ai * deriv * comb(i, s)
-                out[i + j - s] = out[i + j - s] + term
-                if s < i:
-                    deriv = deriv.derivative()
-    return _dop_trim(out)
-
-
-def _dop_chain(factors: Sequence[Sequence[RatFunc]]) -> DiffOp:
-    acc: DiffOp = [RF_ONE]
-    for f in factors:
-        acc = _dop_compose(acc, f)
-    return acc
-
-
 # ordered factor positions (0-based indices into (v1, v2, v3)) per scalar map
 _FACTOR_ORDER = {0: (2, 1, 0), 1: (0, 2, 1), 2: (1, 0, 2)}
 
 
-def miura_map(i: int, oper: MiuraOperA1) -> DiffOp3:
-    """Expand the i-th ordered factorization into d^3 + u1*d + u0."""
+def _factors(oper: MiuraOperA1, i: int) -> List[PsDO]:
+    """The ordered first-order factors d - v_k of the i-th scalar map."""
     if i not in _FACTOR_ORDER:
         raise ValueError("scalar map index must be 0, 1, or 2")
-    vs = oper.vs
-    factors = [[-vs[k], RF_ONE] for k in _FACTOR_ORDER[i]]
-    coeffs = _dop_chain(factors)
-    if len(coeffs) != 4 or coeffs[3] != RF_ONE or not coeffs[2].is_zero():
+    return [PsDO({1: RF_ONE, 0: -oper.vs[k]}) for k in _FACTOR_ORDER[i]]
+
+
+def miura_map(i: int, oper: MiuraOperA1) -> DiffOp3:
+    """Expand the i-th ordered factorization into d^3 + u1*d + u0."""
+    a, b, c = _factors(oper, i)
+    op = a * b * c
+    if op.top() != 3 or op.coeff(3) != RF_ONE or not op.coeff(2).is_zero():
         raise ValueError("factorization did not produce d^3 + u1*d + u0")
-    return DiffOp3(coeffs[1], coeffs[0])
+    return DiffOp3(op.coeff(1), op.coeff(0))
 
 
 def d_miura_map(i: int, oper: MiuraOper, x_comp: RatFunc) -> OpTangent:
@@ -195,30 +150,44 @@ def d_miura_map_a1(
 ) -> OpTangent:
     """Derivative of the i-th scalar map along any sum-zero diagonal tangent,
     by the product rule over the three ordered factors."""
-    if i not in _FACTOR_ORDER:
-        raise ValueError("scalar map index must be 0, 1, or 2")
+    factors = _factors(oper, i)
     xs = [RatFunc.lift(t) for t in tangent]
     if len(xs) != 3 or not (xs[0] + xs[1] + xs[2]).is_zero():
         raise ValueError("tangent must be a sum-zero triple")
-    vs = oper.vs
-    order = _FACTOR_ORDER[i]
-    factors = [[-vs[k], RF_ONE] for k in order]
-    total: DiffOp = []
-    for pos in range(3):
+    total = PsDO.zero()
+    for pos, k in enumerate(_FACTOR_ORDER[i]):
         pieces = list(factors)
-        pieces[pos] = [-xs[order[pos]]]
-        term = _dop_chain(pieces)
-        total = _dop_trim(
-            [p + q for p, q in _zip_pad(total, term)]
-        )
-    if len(total) > 2:
+        pieces[pos] = PsDO({0: -xs[k]})
+        a, b, c = pieces
+        total = total + a * b * c
+    if (total.top() or 0) > 1:
         raise ValueError("tangent of a sum-zero factorization must have order <= 1")
-    u0 = total[0] if len(total) > 0 else RF_ZERO
-    u1 = total[1] if len(total) > 1 else RF_ZERO
-    return OpTangent(u1, u0)
+    return OpTangent(total.coeff(1), total.coeff(0))
 
 
-def _zip_pad(a: Sequence[RatFunc], b: Sequence[RatFunc]):
-    n = max(len(a), len(b))
-    for k in range(n):
-        yield (a[k] if k < len(a) else RF_ZERO), (b[k] if k < len(b) else RF_ZERO)
+# --- the mKdV-to-KdV diagram --------------------------------------------------
+
+
+def consistency_check(trace: GenerationTrace, r: int, i: int) -> bool:
+    """One point of the diagram: pushing the mKdV flow value through the
+    derivative of the i-th scalar map must equal the KdV flow value at the
+    image operator.  Exact equality of both coefficient pairs."""
+    _, pushed, kdv = diagram_sides(trace, r, (i,))[i]
+    return pushed == kdv
+
+
+def diagram_sides(
+    trace: GenerationTrace, r: int, maps: Sequence[int]
+) -> Dict[int, Tuple[DiffOp3, OpTangent, OpTangent]]:
+    """For each scalar map i in ``maps``: the image operator and both sides of
+    the diagram.  The oper, its embedding and the mKdV field are built once
+    and shared by every map.  The oper is read off the final pair: the sum of
+    the gauge increments telescopes to (2 ln y1 - ln y0)'."""
+    emb = embed_a1(miura_from_pair(trace.final))
+    x = mkdv_field(trace, r).x_component
+    sides = {}
+    for i in maps:
+        scalar_op = miura_map(i, emb)
+        pushed = d_miura_map_a1(i, emb, (x, RF_ZERO, -x))
+        sides[i] = (scalar_op, pushed, psdo.kdv_field(scalar_op, r))
+    return sides

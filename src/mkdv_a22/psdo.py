@@ -22,6 +22,9 @@ L^q is an exact differential operator of order 3q and R^s is R or the R^2
 kept by the same solve, so R is needed to depth r only.  The result is
 checked, not assumed: R is solved two orders deeper, (R^s L^q)+ is taken
 from the full deeper root, and the two nonnegative parts must agree.
+
+This module is the bottom of the operator stack: it imports only ``exact``,
+and ``miura`` builds its scalar maps and the mKdV-to-KdV diagram on it.
 """
 
 from __future__ import annotations
@@ -29,12 +32,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .exact import RF_ZERO, RatFunc, ratfunc_to_json
-from .flows import mkdv_field
-from .generation import GenerationTrace
-from .miura import DiffOp3, OpTangent, d_miura_map_a1, embed_a1, miura_from_pair, miura_map
+
+
+@dataclass(frozen=True)
+class DiffOp3:
+    """d^3 + u1*d + u0."""
+
+    u1: RatFunc
+    u0: RatFunc
+
+    def to_json(self) -> dict:
+        return {"u1": ratfunc_to_json(self.u1), "u0": ratfunc_to_json(self.u0)}
+
+
+class OpTangent(NamedTuple):
+    """Tangent to the space of operators d^3 + u1*d + u0."""
+
+    u1: RatFunc
+    u0: RatFunc
 
 
 @lru_cache(maxsize=None)
@@ -90,9 +108,10 @@ class PsDO:
         return PsDO({i: c for i, c in self.terms.items() if i >= new_floor}, new_floor)
 
     def plus_part(self) -> "PsDO":
-        """Orders >= 0; exact (hence floor-free) only if floor <= 0."""
+        """Orders >= 0, exact and floor-free; an ``ArithmeticError`` (an
+        internal error, exit 3 in the CLI) if the floor is above 0."""
         if self.floor is not None and self.floor > 0:
-            raise ValueError("positive part is not fully known at this truncation")
+            raise ArithmeticError("insufficient depth for an exact nonnegative part")
         return PsDO({i: c for i, c in self.terms.items() if i >= 0})
 
     def __add__(self, other: "PsDO") -> "PsDO":
@@ -259,8 +278,8 @@ def frac_power_plus(op: DiffOp3, r: int) -> PsDO:
     for _ in range(q):
         lq = lq * lop
     rs = _root_and_square(op, r + 2)[s - 1]
-    plus = _plus_part(lq * rs.truncate(-3 * q))
-    if _plus_part(rs * lq) != plus:
+    plus = (lq * rs.truncate(-3 * q)).plus_part()
+    if (rs * lq).plus_part() != plus:
         raise ArithmeticError(
             "truncation instability: (L^q R^s)+ at depth r and (R^s L^q)+ "
             "two orders deeper differ"
@@ -268,13 +287,7 @@ def frac_power_plus(op: DiffOp3, r: int) -> PsDO:
     return plus
 
 
-def _plus_part(op: PsDO) -> PsDO:
-    if op.floor is not None and op.floor > 0:
-        raise ArithmeticError("insufficient depth for an exact nonnegative part")
-    return op.plus_part()
-
-
-def kdv_field(op: DiffOp3, r: int) -> Tuple[RatFunc, RatFunc]:
+def kdv_field(op: DiffOp3, r: int) -> OpTangent:
     """Coefficients (u1_dot, u0_dot) of [L, (L^(r/3))+].
 
     The commutator of the full fractional power with L vanishes, so this
@@ -287,29 +300,4 @@ def kdv_field(op: DiffOp3, r: int) -> Tuple[RatFunc, RatFunc]:
     top = comm.top()
     if top is not None and top > 1:
         raise ArithmeticError(f"flow bracket has order {top}, expected <= 1")
-    return comm.coeff(1), comm.coeff(0)
-
-
-def consistency_check(trace: GenerationTrace, r: int, i: int) -> bool:
-    """One point of the diagram: pushing the mKdV flow value through the
-    derivative of the i-th scalar map must equal the KdV flow value at the
-    image operator.  Exact equality of both coefficient pairs."""
-    _, pushed, kdv = diagram_sides(trace, r, (i,))[i]
-    return pushed == kdv
-
-
-def diagram_sides(
-    trace: GenerationTrace, r: int, maps: Sequence[int]
-) -> Dict[int, Tuple[DiffOp3, OpTangent, Tuple[RatFunc, RatFunc]]]:
-    """For each scalar map i in ``maps``: the image operator and both sides of
-    the diagram.  The oper, its embedding and the mKdV field are built once
-    and shared by every map.  The oper is read off the final pair: the sum of
-    the gauge increments telescopes to (2 ln y1 - ln y0)'."""
-    emb = embed_a1(miura_from_pair(trace.final))
-    x = mkdv_field(trace, r).x_component
-    sides = {}
-    for i in maps:
-        scalar_op = miura_map(i, emb)
-        pushed = d_miura_map_a1(i, emb, (x, RF_ZERO, -x))
-        sides[i] = (scalar_op, pushed, kdv_field(scalar_op, r))
-    return sides
+    return OpTangent(comm.coeff(1), comm.coeff(0))

@@ -41,7 +41,7 @@ from .loop import (
     lambda_recompose,
 )
 from .miura import (
-    DiffOp3,
+    consistency_check,
     embed_a1,
     gauge_step,
     miura_from_pair,
@@ -57,7 +57,7 @@ from .flows import (
     mkdv_field,
     vanishing_threshold,
 )
-from .psdo import consistency_check, cube_root, frac_power_plus, from_diffop3, kdv_field
+from .psdo import DiffOp3, cube_root, frac_power_plus, from_diffop3, kdv_field
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from mkdv_a22.loop import (
     diag_matrix,
 )
 from mkdv_a22.miura import (
+    consistency_check,
     d_miura_map,
     embed_a1,
     miura_from_pair,
@@ -37,7 +38,7 @@ from mkdv_a22.miura import (
     miura_map,
     ricatti_check,
 )
-from mkdv_a22.psdo import consistency_check, cube_root, frac_power_plus, from_diffop3
+from mkdv_a22.psdo import cube_root, frac_power_plus, from_diffop3
 from mkdv_a22.miura import DiffOp3
 
 

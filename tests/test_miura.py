@@ -210,6 +210,33 @@ def test_d_miura_map_general_matches_closed_forms():
         d_miura_map(2, oper, x_comp)
 
 
+def test_d_miura_map_a1_against_sympy_variation():
+    # the product rule against d/de at e = 0 of the ordered factorizations
+    # applied to a generic symbolic function, with potential vs + e*xs for a
+    # sum-zero tangent that is not of the form (X, 0, -X); coefficients are
+    # compared as elements of QQ(x), which is far faster than simplify here
+    x, eps = sp.symbols('x epsilon')
+    f = sp.Function('f')(x)
+    field = sp.QQ.frac_field(x)
+    v = rf(X * X + Poly([F(1, 2)]), (X + 2) * (X - 1))
+    emb = embed_a1(MiuraOper(v))
+    x1 = rf(X + 3, X * X + ONE)
+    x2 = rf(ONE * F(2, 3), X - 4)
+    tangent = (x1, x2, -x1 - x2)
+    moved = [to_sympy(t, x) + eps * to_sympy(dt, x) for t, dt in zip(emb.vs, tangent)]
+    order = {0: (2, 1, 0), 1: (0, 2, 1), 2: (1, 0, 2)}
+    for i in (0, 1, 2):
+        u1, u0 = d_miura_map_a1(i, emb, tangent)
+        expr = f
+        for k in reversed(order[i]):
+            expr = sp.diff(expr, x) - moved[k] * expr
+        expr = sp.expand(sp.diff(expr, eps).subs(eps, 0))
+        assert field.from_sympy(expr.coeff(sp.Derivative(f, (x, 3)))) == field.zero
+        assert field.from_sympy(expr.coeff(sp.Derivative(f, (x, 2)))) == field.zero
+        assert field.from_sympy(expr.coeff(sp.Derivative(f, x))) == field.from_sympy(to_sympy(u1, x))
+        assert field.from_sympy(expr.coeff(f)) == field.from_sympy(to_sympy(u0, x))
+
+
 def test_gauge_collapse_of_scalar_maps():
     # the scalar map of index 1 forgets a trailing 0-step, index 0 a
     # trailing 1-step

@@ -1,17 +1,18 @@
 """Pseudodifferential calculus, cube roots, KdV flows, and the flow diagram."""
 
+import ast
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from mkdv_a22.exact import ONE, X, Poly, RatFunc
 from mkdv_a22.generation import generate_multistep
-from mkdv_a22.miura import DiffOp3, embed_a1, miura_from_trace, miura_map
+from mkdv_a22.miura import DiffOp3, consistency_check, embed_a1, miura_from_trace, miura_map
 from mkdv_a22 import psdo
 from mkdv_a22.psdo import (
     PsDO,
-    consistency_check,
     cube_root,
     frac_power_plus,
     from_diffop3,
@@ -225,6 +226,20 @@ def test_consistency_rejects_bad_flow_index():
     t0 = generate_multistep((0,), (F(3),))
     with pytest.raises(ValueError):
         consistency_check(t0, 3, 0)
+
+
+def test_psdo_imports_only_exact():
+    # the calculus is the bottom of the operator stack: miura and flows build
+    # on it, never the other way round
+    tree = ast.parse(Path(psdo.__file__).read_text())
+    relative = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            if node.module:
+                relative.add(node.module)
+            else:
+                relative.update(alias.name for alias in node.names)
+    assert relative == {"exact"}
 
 
 def test_psdo_json():
