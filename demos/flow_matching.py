@@ -20,7 +20,7 @@ def main():
     print("One-step families (closed forms):")
     for word in ((0,), (1,)):
         s = flow_sample(word, (Fraction(3),), 1)
-        print(f"  J={word}: field at r=1 is ({s.field.x_component}) * h0, gamma = {s.gamma[0]}")
+        print(f"  J={word}: field at r=1 is ({s.field}) * h0, gamma = {s.gamma[0]}")
         trace = generate_multistep(word, (Fraction(3),))
         vanished = [r for r in (5, 7, 11, 13) if mkdv_field(trace, r).is_zero()]
         print(f"          flows r in {vanished} vanish identically")

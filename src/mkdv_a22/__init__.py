@@ -41,7 +41,6 @@ from .generation import (
 from .loop import (
     CARTAN,
     CartanData,
-    DiagTraceless,
     LaurentMat,
     conjugate,
     exp_dressing,
@@ -52,7 +51,6 @@ from .loop import (
 from .psdo import DiffOp3, PsDO, cube_root, frac_power_plus, kdv_field, psdo_mul
 from .flows import (
     FlowSample,
-    TangentVector,
     decompose_flow,
     dressing_product,
     family_tangents,

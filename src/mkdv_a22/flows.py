@@ -6,9 +6,10 @@ the r-th flow at that point is
 
     -(d/dx) of the degree-zero part of  P * L1**r * P**(-1),
 
-a multiple of h0 = diag(1, 0, -1).  Only the degree-zero pieces of that
-conjugate are formed (``loop.conjugate`` with ``degree=0``), so the cost does
-not grow with r.
+a multiple of h0 = diag(1, 0, -1).  Fields and tangents are therefore passed
+as their h0 coordinate, a plain ``RatFunc``.  Only the degree-zero pieces of
+that conjugate are formed (``loop.conjugate`` with ``degree=0``), so the cost
+does not grow with r.
 
 Family tangents are the exact partial derivatives of the attached oper:
 v = (2 ln y1 - ln y0)' depends only on the final pair, whose parameter
@@ -30,23 +31,7 @@ from .generation import (
     generate_multistep,
     parameter_derivatives,
 )
-from .loop import (
-    DiagTraceless,
-    LaurentMat,
-    centralizer_power,
-    conjugate,
-    exp_dressing,
-)
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """A tangent x_component * h0 to the space of twisted Miura opers."""
-
-    x_component: RatFunc
-
-    def is_zero(self) -> bool:
-        return self.x_component.is_zero()
+from .loop import LaurentMat, centralizer_power, conjugate, exp_dressing
 
 
 @dataclass(frozen=True)
@@ -63,7 +48,7 @@ class FlowSample:
     J: Tuple[int, ...]
     c: Tuple[Fraction, ...]
     r: int
-    field: TangentVector
+    field: RatFunc
     gamma: Tuple[Fraction, ...]
     residual_zero: bool
 
@@ -72,7 +57,7 @@ class FlowSample:
             "J": list(self.J),
             "c": [rat_to_str(ci) for ci in self.c],
             "r": self.r,
-            "field": ratfunc_to_json(self.field.x_component),
+            "field": ratfunc_to_json(self.field),
             "gamma": [rat_to_str(g) for g in self.gamma],
             "residual_zero": self.residual_zero,
         }
@@ -99,24 +84,27 @@ def dressing_product(trace: GenerationTrace) -> Tuple[LaurentMat, LaurentMat]:
     return p, p_inv
 
 
-def mkdv_field(trace: GenerationTrace, r: int) -> TangentVector:
-    """Value of the r-th flow at the oper attached to the trace.
+def mkdv_field(trace: GenerationTrace, r: int) -> RatFunc:
+    """h0 coordinate of the r-th flow at the oper attached to the trace.
 
-    Only the degree-zero pieces of P * L1**r * P**(-1) are formed.  Above the
+    Only the degree-zero pieces of P * L1**r * P**(-1) are formed.  Principal
+    degree zero means lambda**0 on the diagonal, so that part is diag(d1, d2,
+    d3); twisted closure makes it d1 * h0, and the field is -d1'.  Above the
     vanishing threshold no pair of grade pieces meets degree zero, so the
     field is zero and its cost does not grow with r.
     """
     _check_r(r)
     p, p_inv = dressing_product(trace)
-    diag = DiagTraceless.from_matrix(conjugate(p, centralizer_power(r), p_inv, degree=0))
-    if not diag.middle.is_zero():
-        raise ValueError(
-            "twisted closure violated: degree-zero part has a middle entry"
+    part = conjugate(p, centralizer_power(r), p_inv, degree=0)
+    d1, d2, d3 = (part.entry(i, i, 0) for i in range(3))
+    if not (d1 + d2 + d3).is_zero() or not d2.is_zero():
+        raise ArithmeticError(
+            "twisted closure violated: degree-zero part is not a multiple of h0"
         )
-    return TangentVector(-diag.d1.derivative())
+    return -d1.derivative()
 
 
-def family_tangents(trace: GenerationTrace) -> List[TangentVector]:
+def family_tangents(trace: GenerationTrace) -> List[RatFunc]:
     """Exact partial derivatives of the attached oper in each parameter.
 
     ``parameter_derivatives`` differentiates the given generation run and
@@ -136,7 +124,7 @@ def family_tangents(trace: GenerationTrace) -> List[TangentVector]:
     """
     y0, y1 = trace.final
     tangents = [
-        TangentVector((RatFunc(dy1 * 2, y1) - RatFunc(dy0, y0)).derivative())
+        (RatFunc(dy1 * 2, y1) - RatFunc(dy0, y0)).derivative()
         for dy0, dy1 in parameter_derivatives(trace)
     ]
     if trace.J:
@@ -146,14 +134,12 @@ def family_tangents(trace: GenerationTrace) -> List[TangentVector]:
             expected = RatFunc(prev.y1 ** 4 * a, last.y0 ** 2)
         else:
             expected = RatFunc(prev.y0 * (-2 * a), last.y1 ** 2)
-        if tangents[-1].x_component != expected:
+        if tangents[-1] != expected:
             raise AssertionError("last family tangent disagrees with its closed form")
     return tangents
 
 
-def decompose_flow(
-    field: TangentVector, tangents: Sequence[TangentVector]
-) -> DecomposeResult:
+def decompose_flow(field: RatFunc, tangents: Sequence[RatFunc]) -> DecomposeResult:
     """Exact scalars gamma with field = sum gamma_i * tangent_i, if they exist.
 
     Denominators are cleared to a single polynomial identity whose
@@ -164,22 +150,20 @@ def decompose_flow(
     """
     if not tangents:
         raise ValueError("need at least one tangent")
-    den = field.x_component.den
+    den = field.den
     for t in tangents:
-        den = poly_lcm(den, t.x_component.den)
-    target = field.x_component.num * den.divexact(field.x_component.den)
-    cleared = [
-        t.x_component.num * den.divexact(t.x_component.den) for t in tangents
-    ]
+        den = poly_lcm(den, t.den)
+    target = field.num * den.divexact(field.den)
+    cleared = [t.num * den.divexact(t.den) for t in tangents]
     ncoeffs = max([target.degree() + 1] + [p.degree() + 1 for p in cleared] + [1])
     rows = [[p.coeff(k) for p in cleared] for k in range(ncoeffs)]
     rhs = [target.coeff(k) for k in range(ncoeffs)]
     sol = solve_linear(rows, rhs)
     if sol is not None:
         gamma = tuple(Fraction(g) for g in sol)
-        residual = field.x_component
+        residual = field
         for g, t in zip(gamma, tangents):
-            residual = residual - t.x_component * g
+            residual = residual - t * g
         if not residual.is_zero():
             raise AssertionError("consistent system left a nonzero residual")
         return DecomposeResult(gamma, True)
@@ -222,8 +206,6 @@ def flow_sample(j_seq: Sequence[int], c: Sequence[Fraction], r: int) -> FlowSamp
     cs = tuple(Fraction(ci) for ci in c)
     trace = generate_multistep(js, cs)
     field = mkdv_field(trace, r)
-    if not js:
-        return FlowSample(js, cs, r, field, (), field.is_zero())
     if field.is_zero():
         gamma = tuple(Fraction(0) for _ in js)
         return FlowSample(js, cs, r, field, gamma, True)

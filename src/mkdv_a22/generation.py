@@ -99,10 +99,7 @@ def degree_transform(k: DegreeVector, j: int) -> DegreeVector:
 
 def degree_vector(j_seq: Sequence[int]) -> DegreeVector:
     """Fold of degree_transform over a basic word, starting from (0, 0)."""
-    k = DegreeVector(0, 0)
-    for j in check_basic(j_seq):
-        k = degree_transform(k, j)
-    return k
+    return degree_walk(j_seq)[-1]
 
 
 def degree_walk(j_seq: Sequence[int]) -> List[DegreeVector]:

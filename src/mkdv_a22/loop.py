@@ -9,11 +9,11 @@ and the principal grading of a monomial lambda**m * e_{k,l} is 3m + k - l
 (rows and columns counted from 1).  Since L1**3 = lambda * 1, every power
 L1**(3q + s) is lambda**q * L1**s with 0 <= s < 3, read off in closed form.
 
-``conjugate(p, m, p_inv, degree=d)`` returns only the principal degree-d part
-of p * m * p_inv: the three factors are split into homogeneous pieces and
-only the products P_a * M_c * Q_b with a + c + b = d are formed.  Dressing
-factors have degrees <= 0, so for m = L1**r the pieces meet degree zero only
-for small r, and the cost does not grow with r.
+``conjugate(p, m, p_inv, degree=d)`` is graded only: it returns the principal
+degree-d part of p * m * p_inv, for which the three factors are split into
+homogeneous pieces and only the products P_a * M_c * Q_b with a + c + b = d
+are formed.  Dressing factors have degrees <= 0, so for m = L1**r the pieces
+meet degree zero only for small r, and the cost does not grow with r.
 
 Dressing factors are the two unipotent exponentials
 
@@ -159,36 +159,6 @@ class LaurentMat:
         ]
 
 
-@dataclass(frozen=True)
-class DiagTraceless:
-    """diag(d1, -d1-d3, d3); trace is zero by construction."""
-
-    d1: RatFunc
-    d3: RatFunc
-
-    @property
-    def middle(self) -> RatFunc:
-        return -(self.d1 + self.d3)
-
-    @staticmethod
-    def from_matrix(m: LaurentMat) -> "DiagTraceless":
-        """Convert a lambda**0 diagonal matrix; rejects anything else."""
-        diag = [RF_ZERO, RF_ZERO, RF_ZERO]
-        for (i, j, e), v in m.terms.items():
-            if i != j or e != 0:
-                raise ValueError("matrix is not a lambda^0 diagonal")
-            diag[i] = v
-        if not (diag[0] + diag[1] + diag[2]).is_zero():
-            raise ValueError("diagonal is not traceless")
-        return DiagTraceless(diag[0], diag[2])
-
-    def h0_coefficient(self) -> RatFunc:
-        """The coordinate v with self = v * diag(1, 0, -1); middle entry must vanish."""
-        if not self.middle.is_zero():
-            raise ValueError("diagonal has a nonzero middle entry")
-        return self.d1
-
-
 _LAMBDA = LaurentMat({(1, 0, 0): RF_ONE, (2, 1, 0): RF_ONE, (0, 2, 1): RF_ONE})
 # L1**0, L1**1, L1**2; every other power is lambda**q times one of these
 _LAMBDA_POWERS = (LaurentMat.identity(), _LAMBDA, _LAMBDA * _LAMBDA)
@@ -249,19 +219,16 @@ def _grade_pieces(m: LaurentMat) -> Dict[int, LaurentMat]:
     return {d: LaurentMat(t) for d, t in pieces.items()}
 
 
-def conjugate(
-    p: LaurentMat, m: LaurentMat, p_inv: LaurentMat, degree: int | None = None
-) -> LaurentMat:
-    """p * m * p_inv, after checking that p_inv really inverts p.
+def conjugate(p: LaurentMat, m: LaurentMat, p_inv: LaurentMat, degree: int) -> LaurentMat:
+    """The principal degree-``degree`` part of p * m * p_inv, after checking
+    that p_inv really inverts p.
 
-    With ``degree=d`` only the principal degree-d part is returned, formed
-    as the sum of P_a * M_c * Q_b over the grade pieces of p, m and p_inv
-    with a + c + b = d; no other part of the product is computed.
+    It is formed as the sum of P_a * M_c * Q_b over the grade pieces of p, m
+    and p_inv with a + c + b = degree; no other part of the product is
+    computed.
     """
     if p * p_inv != LaurentMat.identity():
         raise ValueError("p_inv is not the inverse of p")
-    if degree is None:
-        return p * m * p_inv
     p_parts, m_parts, q_parts = _grade_pieces(p), _grade_pieces(m), _grade_pieces(p_inv)
     acc = LaurentMat.zero()
     for a, pa in p_parts.items():

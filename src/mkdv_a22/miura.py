@@ -184,7 +184,7 @@ def diagram_sides(
     and shared by every map.  The oper is read off the final pair: the sum of
     the gauge increments telescopes to (2 ln y1 - ln y0)'."""
     emb = embed_a1(miura_from_pair(trace.final))
-    x = mkdv_field(trace, r).x_component
+    x = mkdv_field(trace, r)
     sides = {}
     for i in maps:
         scalar_op = miura_map(i, emb)

@@ -345,7 +345,7 @@ def verify_flows(
         trace = generate_multistep(j_seq, c)
         tangent = family_tangents(trace)[-1]
         a = trace.consts[-1] * (1 if j_seq[-1] == 0 else -2)
-        coeffs = laurent_at_infinity(tangent.x_component * (Fraction(1) / a), 12)
+        coeffs = laurent_at_infinity(tangent * (Fraction(1) / a), 12)
         lead = next((x for x in coeffs if x != 0), None)
         ok = ok and lead == 1
     rep.add("last tangent is asymptotically monic", ok)

@@ -55,7 +55,7 @@ def test_flow_output_and_validation(capsys):
     data = json.loads(out)
     assert data["field"] == {"num": [], "den": ["1"]} and data["gamma"] == ["0"]
     code, _, err = run_cli(capsys, "flow", "0", "--c", "3", "--r", "4")
-    assert code == 2
+    assert code == 2 and "1 or 5 mod 6" in err
 
 
 @pytest.mark.parametrize("word", ["0,1", "1,0", "1,0,1", "0,1,0,1"])

@@ -8,7 +8,6 @@ import pytest
 from mkdv_a22.exact import ONE, X, Poly, RatFunc
 from mkdv_a22.loop import (
     CARTAN,
-    DiagTraceless,
     LaurentMat,
     centralizer_power,
     conjugate,
@@ -134,18 +133,19 @@ def test_conjugate_checks_inverse_and_matches_gauge_identity():
     p = exp_dressing(g, 0)
     p_inv = exp_dressing(-g, 0)
     lam = lambda_power(1)
-    assert conjugate(LaurentMat.identity(), lam, LaurentMat.identity()) == lam
-    assert conjugate(p, LaurentMat.identity(), p_inv) == LaurentMat.identity()
+    assert conjugate(LaurentMat.identity(), lam, LaurentMat.identity(), degree=1) == lam
+    assert conjugate(p, LaurentMat.identity(), p_inv, degree=0) == LaurentMat.identity()
     with pytest.raises(ValueError):
-        conjugate(p, lam, p)  # not the inverse
+        conjugate(p, lam, p, degree=0)  # not the inverse
 
     # matrix conjugation of the cyclic generator by exp(g f0):
     # diagonal part g*(e33 - e11) plus the strictly negative-degree
     # remainder -g^2 * lambda^{-1} e31, which the derivative of the inverse
     # factor cancels in the full gauge action when g' + g^2 = 0
-    conj = conjugate(p, lam, p_inv)
+    conj = p * lam * p_inv
     expected_diag = LaurentMat({(0, 0, 0): -g, (2, 2, 0): g})
     assert grade_project(conj, 0) == expected_diag
+    assert conjugate(p, lam, p_inv, degree=0) == expected_diag
     assert conj == lam + expected_diag + LaurentMat({(2, 0, -1): -(g * g)})
     gauge = conj + p * p_inv.d_dx()
     assert gauge == lam + expected_diag  # g = 1/(x+7) solves g' + g^2 = 0
@@ -180,19 +180,6 @@ def test_lambda_decompose_round_trip_and_b0():
             assert diag_matrix(b0[0]) == grade_project(m, 0)
         else:
             assert grade_project(m, 0).is_zero()
-
-
-def test_diag_traceless_conversion():
-    d = DiagTraceless.from_matrix(diag_matrix((rf(X), rf(-X - X), rf(X))))
-    assert d.middle == rf(-X * 2)
-    with pytest.raises(ValueError):
-        DiagTraceless.from_matrix(diag_matrix((rf(ONE), rf(ONE), rf(ONE))))
-    with pytest.raises(ValueError):
-        DiagTraceless.from_matrix(lambda_power(1))
-    v = DiagTraceless.from_matrix(diag_matrix((rf(X), RatFunc.zero(), rf(-X)))).h0_coefficient()
-    assert v == rf(X)
-    with pytest.raises(ValueError):
-        DiagTraceless.from_matrix(diag_matrix((rf(X), rf(X), rf(-X - X)))).h0_coefficient()
 
 
 def test_serialization():
