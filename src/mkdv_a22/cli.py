@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .exact import rat_to_str
 from .generation import check_basic, degree_walk, generate_multistep
-from .flows import admissible_r, flow_sample
+from .flows import check_r, flow_sample
 from .miura import diagram_sides, miura_from_trace
 from .verify import RunConfig, SUITES, run_suites
 
@@ -98,8 +98,7 @@ def cmd_miura(args) -> int:
 def cmd_kdv_check(args) -> int:
     word = _parse_word(args.J)
     c = _parse_params(args.c, len(word))
-    if not admissible_r(args.r):
-        raise UsageError(f"flow index must be positive and 1 or 5 mod 6, got {args.r}")
+    check_r(args.r)
     if args.i not in (None, 0, 1, 2):
         raise UsageError("scalar map index must be 0, 1, or 2")
     maps = [args.i] if args.i is not None else [0, 1, 2]

@@ -7,9 +7,11 @@ the r-th flow at that point is
     -(d/dx) of the degree-zero part of  P * L1**r * P**(-1),
 
 a multiple of h0 = diag(1, 0, -1).  Fields and tangents are therefore passed
-as their h0 coordinate, a plain ``RatFunc``.  Only the degree-zero pieces of
-that conjugate are formed (``loop.conjugate`` with ``degree=0``), so the cost
-does not grow with r.
+as their h0 coordinate, a plain ``RatFunc``.  The conjugate is built as
+E_m(...(E_1 * L1**r * E_1**(-1))...)E_m**(-1), one factor at a time, and
+after each factor only the degrees that the remaining factors can still
+lower to zero are kept (``loop.REACH``), so neither P nor P**(-1) is formed
+and the cost does not grow with r.
 
 Family tangents are the exact partial derivatives of the attached oper:
 v = (2 ln y1 - ln y0)' depends only on the final pair, whose parameter
@@ -31,7 +33,7 @@ from .generation import (
     generate_multistep,
     parameter_derivatives,
 )
-from .loop import LaurentMat, centralizer_power, conjugate, exp_dressing
+from .loop import REACH, LaurentMat, centralizer_power, conjugate, exp_dressing
 
 
 @dataclass(frozen=True)
@@ -63,18 +65,17 @@ class FlowSample:
         }
 
 
-def admissible_r(r: int) -> bool:
-    return r > 0 and r % 6 in (1, 5)
-
-
-def _check_r(r: int) -> int:
-    if not admissible_r(r):
+def check_r(r: int) -> None:
+    """Reject a flow index that is not positive and 1 or 5 mod 6."""
+    if r <= 0 or r % 6 not in (1, 5):
         raise ValueError(f"flow index must be positive and 1 or 5 mod 6, got {r}")
-    return r
 
 
 def dressing_product(trace: GenerationTrace) -> Tuple[LaurentMat, LaurentMat]:
-    """P = E(g_m, j_m) ... E(g_1, j_1) and its inverse (reversed, negated)."""
+    """P = E(g_m, j_m) ... E(g_1, j_1) and its inverse (reversed, negated).
+
+    The flow path never forms P; this is the whole-product reference.
+    """
     p = LaurentMat.identity()
     p_inv = LaurentMat.identity()
     # later steps conjugate earlier ones, so each new factor goes on the left
@@ -87,15 +88,22 @@ def dressing_product(trace: GenerationTrace) -> Tuple[LaurentMat, LaurentMat]:
 def mkdv_field(trace: GenerationTrace, r: int) -> RatFunc:
     """h0 coordinate of the r-th flow at the oper attached to the trace.
 
-    Only the degree-zero pieces of P * L1**r * P**(-1) are formed.  Principal
-    degree zero means lambda**0 on the diagonal, so that part is diag(d1, d2,
-    d3); twisted closure makes it d1 * h0, and the field is -d1'.  Above the
-    vanishing threshold no pair of grade pieces meets degree zero, so the
-    field is zero and its cost does not grow with r.
+    P * L1**r * P**(-1) is built by conjugating with E(g_1, j_1) first and
+    E(g_m, j_m) last.  No factor raises a degree and E(g, j) lowers one by
+    at most ``REACH[j]``, so after each factor only the degrees from 0 to
+    the reach of the remaining factors are kept; each factor is checked
+    against its inverse E(-g, j).  Principal degree zero means lambda**0 on
+    the diagonal, so the result is diag(d1, d2, d3); twisted closure makes
+    it d1 * h0, and the field is -d1'.  Above the vanishing threshold the
+    first conjugation keeps nothing, so the field is zero and its cost does
+    not grow with r.
     """
-    _check_r(r)
-    p, p_inv = dressing_product(trace)
-    part = conjugate(p, centralizer_power(r), p_inv, degree=0)
+    check_r(r)
+    reach = sum(REACH[j] for j in trace.J)
+    part = centralizer_power(r)
+    for j, g in zip(trace.J, trace.gs):
+        reach -= REACH[j]
+        part = conjugate(exp_dressing(g, j), part, exp_dressing(-g, j), range(reach + 1))
     d1, d2, d3 = (part.entry(i, i, 0) for i in range(3))
     if not (d1 + d2 + d3).is_zero() or not d2.is_zero():
         raise ArithmeticError(
@@ -185,24 +193,18 @@ def decompose_flow(field: RatFunc, tangents: Sequence[RatFunc]) -> DecomposeResu
 def vanishing_threshold(j_seq: Sequence[int], r: int) -> bool:
     """True when the r-th flow is guaranteed to vanish on the whole family.
 
-    The dressing factors reach at most one (direction 0) or two (direction 1)
-    steps down in the principal grading, which bounds the top power of the
-    cyclic generator whose conjugate can meet degree zero.
+    Conjugating by the dressing factors lowers the degree r of L1**r by at
+    most the sum of their ``REACH``, so above that sum nothing meets degree
+    zero.
     """
-    _check_r(r)
-    js = check_basic(j_seq)
-    m = len(js)
-    if m % 2 == 0:
-        return r > 3 * m
-    if js[0] == 0:
-        return r > 3 * m - 2
-    return r > 3 * m + 1
+    check_r(r)
+    return r > sum(REACH[j] for j in check_basic(j_seq))
 
 
 def flow_sample(j_seq: Sequence[int], c: Sequence[Fraction], r: int) -> FlowSample:
     """Field, tangents, and decomposition for one (J, c, r) case."""
     js = check_basic(j_seq)
-    _check_r(r)
+    check_r(r)
     cs = tuple(Fraction(ci) for ci in c)
     trace = generate_multistep(js, cs)
     field = mkdv_field(trace, r)

@@ -340,30 +340,24 @@ def bethe_residuals(pair: PolyPair, tolerance: float = 1e-8) -> BetheReport:
     return BetheReport(worst, worst <= tolerance, (len(u0), len(u1)))
 
 
-def sample_rational(rng: random.Random, num_range=(-9, 9), den_range=(1, 4)) -> Fraction:
-    return Fraction(rng.randint(*num_range), rng.randint(*den_range))
+def sample_rational(rng: random.Random) -> Fraction:
+    """a/b with integers -9 <= a <= 9 and 1 <= b <= 4 drawn uniformly."""
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
 
 
-def sample_c(
-    j_seq: Sequence[int],
-    rng: random.Random,
-    *,
-    require_generic: bool = True,
-    max_tries: int = 50,
-) -> Tuple[Fraction, ...]:
-    """Draw generation parameters that produce a (generic) trace.
+def sample_c(j_seq: Sequence[int], rng: random.Random) -> Tuple[Fraction, ...]:
+    """Draw generation parameters that produce a generic trace.
 
     Degenerate draws are rare, so rejection sampling converges immediately
-    in practice; the bound only guards against misuse.
+    in practice; the bound of 50 tries only guards against misuse.
     """
     js = check_basic(j_seq)
-    for _ in range(max_tries):
+    for _ in range(50):
         c = tuple(sample_rational(rng) for _ in js)
         try:
             trace = generate_multistep(js, c)
         except InfertileError:
             continue
-        if require_generic and not all(is_generic(p) for p in trace.pairs):
-            continue
-        return c
-    raise RuntimeError(f"could not sample parameters for {js} in {max_tries} tries")
+        if all(is_generic(p) for p in trace.pairs):
+            return c
+    raise RuntimeError(f"could not sample parameters for {js} in 50 tries")

@@ -9,12 +9,6 @@ and the principal grading of a monomial lambda**m * e_{k,l} is 3m + k - l
 (rows and columns counted from 1).  Since L1**3 = lambda * 1, every power
 L1**(3q + s) is lambda**q * L1**s with 0 <= s < 3, read off in closed form.
 
-``conjugate(p, m, p_inv, degree=d)`` is graded only: it returns the principal
-degree-d part of p * m * p_inv, for which the three factors are split into
-homogeneous pieces and only the products P_a * M_c * Q_b with a + c + b = d
-are formed.  Dressing factors have degrees <= 0, so for m = L1**r the pieces
-meet degree zero only for small r, and the cost does not grow with r.
-
 Dressing factors are the two unipotent exponentials
 
     exp(g*f0) = 1 + g*e33*L1**(-1)
@@ -22,12 +16,19 @@ Dressing factors are the two unipotent exponentials
 
 coming from the embedding of the twisted algebra that sends f0 to the lowest
 root vector and f1 to twice the sum of the two remaining lowering generators.
+
+``conjugate(p, m, p_inv, degrees)`` keeps the part of p * m * p_inv in the
+principal degrees of the range ``degrees``.  No dressing factor has a
+positive degree, and conjugating by exp(g*f_j) lowers a degree by at most
+``REACH[j]``, so the flow layer conjugates L1**r by one factor at a time and
+keeps only the degrees the remaining factors can still lower to zero; the
+cost does not grow with r.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 from .exact import RF_ONE, RF_ZERO, RatFunc, ratfunc_to_json
 
@@ -58,22 +59,15 @@ class LaurentMat:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Dict[Key, RatFunc] | Iterable[tuple] = ()):
+    def __init__(self, terms: Dict[Key, RatFunc]):
         data: Dict[Key, RatFunc] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for key, val in items:
-            i, j, e = key
+        for key, val in terms.items():
+            i, j, _ = key
             if not (0 <= i <= 2 and 0 <= j <= 2):
                 raise ValueError(f"bad matrix position {key}")
             val = RatFunc.lift(val)
-            if val.is_zero():
-                continue
-            prev = data.get((i, j, e))
-            val = val if prev is None else prev + val
-            if val.is_zero():
-                data.pop((i, j, e), None)
-            else:
-                data[(i, j, e)] = val
+            if not val.is_zero():
+                data[key] = val
         object.__setattr__(self, "terms", data)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
@@ -81,7 +75,7 @@ class LaurentMat:
 
     @staticmethod
     def zero() -> "LaurentMat":
-        return LaurentMat()
+        return LaurentMat({})
 
     @staticmethod
     def identity() -> "LaurentMat":
@@ -197,6 +191,12 @@ def exp_dressing(g, j: int) -> LaurentMat:
     raise ValueError("direction must be 0 or 1")
 
 
+# How far conjugation by exp(g * f_j) can lower a principal degree: the
+# factor and its inverse each have degrees 0 and -1 (j = 0) or 0, -1, -2
+# (j = 1), and neither has a positive degree.
+REACH = {0: 2, 1: 4}
+
+
 def grade(i: int, j: int, e: int) -> int:
     """Principal degree of lambda**e * e_{i+1, j+1}:  3e + (i+1) - (j+1)."""
     return 3 * e + i - j
@@ -211,32 +211,13 @@ def grade_support(m: LaurentMat) -> list:
     return sorted({grade(*k) for k in m.terms})
 
 
-def _grade_pieces(m: LaurentMat) -> Dict[int, LaurentMat]:
-    """m split into its nonzero homogeneous pieces, keyed by principal degree."""
-    pieces: Dict[int, Dict[Key, RatFunc]] = {}
-    for k, v in m.terms.items():
-        pieces.setdefault(grade(*k), {})[k] = v
-    return {d: LaurentMat(t) for d, t in pieces.items()}
-
-
-def conjugate(p: LaurentMat, m: LaurentMat, p_inv: LaurentMat, degree: int) -> LaurentMat:
-    """The principal degree-``degree`` part of p * m * p_inv, after checking
-    that p_inv really inverts p.
-
-    It is formed as the sum of P_a * M_c * Q_b over the grade pieces of p, m
-    and p_inv with a + c + b = degree; no other part of the product is
-    computed.
-    """
+def conjugate(p: LaurentMat, m: LaurentMat, p_inv: LaurentMat, degrees: range) -> LaurentMat:
+    """The part of p * m * p_inv in the principal degrees ``degrees``, after
+    checking that p_inv really inverts p."""
     if p * p_inv != LaurentMat.identity():
         raise ValueError("p_inv is not the inverse of p")
-    p_parts, m_parts, q_parts = _grade_pieces(p), _grade_pieces(m), _grade_pieces(p_inv)
-    acc = LaurentMat.zero()
-    for a, pa in p_parts.items():
-        for c, mc in m_parts.items():
-            qb = q_parts.get(degree - a - c)
-            if qb is not None:
-                acc = acc + pa * mc * qb
-    return acc
+    full = p * m * p_inv
+    return LaurentMat({k: v for k, v in full.terms.items() if grade(*k) in degrees})
 
 
 def lambda_decompose(m: LaurentMat) -> list:

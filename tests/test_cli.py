@@ -149,9 +149,13 @@ def test_kdv_check_rejects_map_index_before_generating(capsys, monkeypatch):
         raise RuntimeError("generation must not run for a usage error")
 
     monkeypatch.setattr("mkdv_a22.cli.generate_multistep", never)
-    code, out, err = run_cli(capsys, "kdv-check", "0,1", "--c=2,5", "--r", "1", "--i", "5")
-    assert code == 2 and out == ""
-    assert "scalar map index" in err
+    for extra, message in (
+        (("--r", "1", "--i", "5"), "scalar map index"),
+        (("--r", "4"), "1 or 5 mod 6"),
+    ):
+        code, out, err = run_cli(capsys, "kdv-check", "0,1", "--c=2,5", *extra)
+        assert code == 2 and out == ""
+        assert message in err
 
 
 def test_flow_far_above_threshold(capsys):

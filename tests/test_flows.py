@@ -73,6 +73,21 @@ def test_mkdv_field_one_step_families():
         mkdv_field(t0, 6)
 
 
+def test_mkdv_field_matches_whole_dressing_product():
+    # conjugating one factor at a time and keeping only the degrees the
+    # remaining factors can still lower to zero loses nothing against the
+    # degree-zero part of the whole P * L1**r * P**(-1)
+    rng = random.Random(45)
+    words = [(0,), (1,), (0, 1), (1, 0), (0, 1, 0), (1, 0, 1), (0, 1, 0, 1), (1, 0, 1, 0)]
+    for js in words:
+        for c in (sample_c(js, rng), (F(0),) * len(js)):
+            trace = generate_multistep(js, c)
+            p, p_inv = dressing_product(trace)
+            for r in (1, 5, 7, 11, 13):
+                whole = grade_project(p * lambda_power(r) * p_inv, 0).entry(0, 0, 0)
+                assert mkdv_field(trace, r) == -whole.derivative(), (js, c, r)
+
+
 @pytest.mark.parametrize(
     "diag",
     [(rf(X), rf(X), rf(-X * 2)), (rf(X), RatFunc.zero(), RatFunc.zero())],
@@ -255,7 +270,7 @@ def test_flow_sample_json():
 
 
 def test_graded_conjugate_matches_projection_of_full_conjugate():
-    # degree-d part formed from grade pieces == grade_project of the full
+    # the degree-d part kept by conjugate == grade_project of the full
     # conjugate, for dressing products of every basic word of length <= 3
     mixed = (
         lambda_power(1)
@@ -270,4 +285,4 @@ def test_graded_conjugate_matches_projection_of_full_conjugate():
         for m in ms:
             full = p * m * p_inv
             for d in range(-3, 4):
-                assert conjugate(p, m, p_inv, degree=d) == grade_project(full, d), (js, d)
+                assert conjugate(p, m, p_inv, range(d, d + 1)) == grade_project(full, d), (js, d)

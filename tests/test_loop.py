@@ -133,10 +133,10 @@ def test_conjugate_checks_inverse_and_matches_gauge_identity():
     p = exp_dressing(g, 0)
     p_inv = exp_dressing(-g, 0)
     lam = lambda_power(1)
-    assert conjugate(LaurentMat.identity(), lam, LaurentMat.identity(), degree=1) == lam
-    assert conjugate(p, LaurentMat.identity(), p_inv, degree=0) == LaurentMat.identity()
+    assert conjugate(LaurentMat.identity(), lam, LaurentMat.identity(), range(1, 2)) == lam
+    assert conjugate(p, LaurentMat.identity(), p_inv, range(0, 1)) == LaurentMat.identity()
     with pytest.raises(ValueError):
-        conjugate(p, lam, p, degree=0)  # not the inverse
+        conjugate(p, lam, p, range(0, 1))  # not the inverse
 
     # matrix conjugation of the cyclic generator by exp(g f0):
     # diagonal part g*(e33 - e11) plus the strictly negative-degree
@@ -145,7 +145,7 @@ def test_conjugate_checks_inverse_and_matches_gauge_identity():
     conj = p * lam * p_inv
     expected_diag = LaurentMat({(0, 0, 0): -g, (2, 2, 0): g})
     assert grade_project(conj, 0) == expected_diag
-    assert conjugate(p, lam, p_inv, degree=0) == expected_diag
+    assert conjugate(p, lam, p_inv, range(0, 1)) == expected_diag
     assert conj == lam + expected_diag + LaurentMat({(2, 0, -1): -(g * g)})
     gauge = conj + p * p_inv.d_dx()
     assert gauge == lam + expected_diag  # g = 1/(x+7) solves g' + g^2 = 0
@@ -200,4 +200,4 @@ def test_graded_conjugate_checks_inverse():
     p = exp_dressing(g, 0)
     for d in (-1, 0, 1):
         with pytest.raises(ValueError):
-            conjugate(p, lambda_power(1), p, degree=d)
+            conjugate(p, lambda_power(1), p, range(d, d + 1))
