@@ -181,7 +181,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kdv-check", help="mKdV/KdV consistency through the scalar maps")
     p.add_argument("J", nargs="?", default="")
     p.add_argument("--c", default="", help=_C_HELP)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument(
+        "--r",
+        type=int,
+        required=True,
+        help="flow index, 1 or 5 mod 6; the cost grows steeply with r (kdv-check 0 --c 1"
+        " --r 49 takes seconds) and is pseudodifferential Fraction arithmetic, not the gcd",
+    )
     p.add_argument("--i", type=int, default=None, help="scalar map index (default: all)")
     p.add_argument("--json", action="store_true", help="accepted for uniformity; always JSON")
     p.set_defaults(func=cmd_kdv_check)

@@ -143,10 +143,7 @@ class Poly:
         other = Poly.lift(other)
         if not self.is_zero() and other.degree() > 0:
             return _divexact_rational(self, other)
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError("inexact polynomial division")
-        return q
+        return divmod(self, other)[0]  # a nonzero constant always divides
 
     def derivative(self) -> "Poly":
         return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
@@ -218,12 +215,7 @@ def _mul_rational(a: Poly, b: Poly) -> Poly:
 
 
 def _int_content(cs: Sequence[int]) -> int:
-    g = 0
-    for c in cs:
-        g = math.gcd(g, abs(c))
-        if g == 1:
-            break
-    return g or 1
+    return math.gcd(*cs) or 1
 
 
 def _to_int_primitive(p: Poly) -> list:
@@ -260,57 +252,98 @@ def _int_prem(a: list, b: list) -> list:
     return a
 
 
-_GCD_PRIME = (1 << 31) - 1  # Mersenne prime; products below it stay machine-word sized
+_HEU_GCD_TRIES = 6
 
 
-def _coprime_mod_p(fa: list, fb: list) -> bool:
-    """Certificate that two integer polynomials are coprime over the rationals.
+def _int_divexact(a: list, b: list) -> Optional[list]:
+    """Quotient of integer coefficient lists when ``b`` divides ``a`` in Z[x],
+    otherwise None.
 
-    If gcd(fa mod p, fb mod p) is constant for a prime p dividing neither
-    leading coefficient, the rational gcd is constant as well (reduction mod
-    p can only increase the gcd degree).  A False answer decides nothing.
+    For primitive ``b`` this is divisibility over the rationals as well
+    (Gauss), so the long division never leaves the integers.
     """
-    p = _GCD_PRIME
-    if fa[-1] % p == 0 or fb[-1] % p == 0:
-        return False
-    ra = [c % p for c in fa]
-    rb = [c % p for c in fb]
-    while True:
-        while rb and rb[-1] == 0:
-            rb.pop()
-        if not rb:
-            return len(ra) == 1
-        inv = pow(rb[-1], p - 2, p)
-        while len(ra) >= len(rb):
-            la = ra[-1]
-            if la:
-                f = la * inv % p
-                shift = len(ra) - len(rb)
-                for i, c in enumerate(rb):
-                    ra[shift + i] = (ra[shift + i] - f * c) % p
-            ra.pop()
-        ra, rb = rb, ra
+    nb, lb = len(b), b[-1]
+    if len(a) < nb:
+        return None
+    rem = list(a)
+    quo = [0] * (len(a) - nb + 1)
+    for k in range(len(quo) - 1, -1, -1):
+        top = rem[k + nb - 1]
+        if top == 0:
+            continue
+        q, r = divmod(top, lb)
+        if r:
+            return None
+        quo[k] = q
+        for i, c in enumerate(b):
+            rem[k + i] -= q * c
+    if any(rem):
+        return None
+    return quo
+
+
+def _heu_gcd(fa: list, fb: list) -> Optional[list]:
+    """Primitive gcd of two primitive integer polynomials, or None.
+
+    GCDHEU: evaluate both at an integer xi, take the integer gcd of the two
+    values, and read a candidate off its symmetric xi-adic digits.  With
+    xi >= 2*min(|fa|, |fb|) + 2 (max norms) a primitive candidate that
+    divides both inputs is their gcd (Char, Geddes & Gonnet, J. Symbolic
+    Comput. 7, 1989); a constant candidate therefore certifies coprimality
+    without any division.  The same bound keeps xi above every root of the
+    input with the smaller norm, so the gcd of the values is never 0.  After
+    a rejected candidate xi grows by sympy's schedule; None means give up.
+    """
+    xi = 2 * min(max(map(abs, fa)), max(map(abs, fb))) + 2
+    for _ in range(_HEU_GCD_TRIES):
+        va = vb = 0
+        for c in reversed(fa):
+            va = va * xi + c
+        for c in reversed(fb):
+            vb = vb * xi + c
+        gamma = math.gcd(va, vb)
+        h = []
+        while gamma:
+            d = gamma % xi
+            if d > xi // 2:
+                d -= xi
+            h.append(d)
+            gamma = (gamma - d) // xi
+        if len(h) == 1:
+            return [1]
+        g = _int_content(h)
+        h = [c // g for c in h]
+        if _int_divexact(fa, h) is not None and _int_divexact(fb, h) is not None:
+            return h
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
 
 
 def _gcd_rational(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over the rationals via a primitive pseudo-remainder sequence.
+    """Monic gcd over the rationals of two nonconstant polynomials.
 
-    A cheap modular coprimality certificate short-circuits the common case;
-    otherwise the chain runs over the integers with primitive parts, which
-    avoids the coefficient blowup of a fraction-based Euclid.  This is the
-    hot path of every RatFunc reduction.
+    Both are scaled to primitive integer polynomials.  The heuristic
+    ``_heu_gcd`` (GCDHEU, proven start xi >= 2*min(|fa|, |fb|) + 2, accepted
+    only after an exact division check) settles almost every pair with one
+    integer gcd; this is the hot path of every RatFunc reduction.  When it
+    gives up after ``_HEU_GCD_TRIES`` values of xi, a primitive
+    pseudo-remainder sequence over the integers decides, which avoids the
+    coefficient blowup of a fraction-based Euclid.
     """
     fa, fb = _to_int_primitive(a), _to_int_primitive(b)
-    if len(fa) < len(fb):
-        fa, fb = fb, fa
-    if len(fb) > 1 and _coprime_mod_p(fa, fb):
+    h = _heu_gcd(fa, fb)
+    if h is None:
+        if len(fa) < len(fb):
+            fa, fb = fb, fa
+        while fb:
+            r = _int_prem(fa, fb)
+            g = _int_content(r)
+            fa, fb = fb, [c // g for c in r]
+        h = fa
+    if len(h) == 1:
         return ONE
-    while fb:
-        r = _int_prem(fa, fb)
-        g = _int_content(r)
-        fa, fb = fb, [c // g for c in r]
-    lc = Fraction(fa[-1])
-    return Poly(tuple(Fraction(c) / lc for c in fa))
+    lc = Fraction(h[-1])
+    return Poly(tuple(Fraction(c) / lc for c in h))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -341,23 +374,9 @@ def _divexact_rational(n: Poly, g: Poly) -> Poly:
     """
     pn = _to_int_primitive(n)
     pg = _to_int_primitive(g)
-    if len(pn) < len(pg):
-        raise ValueError("inexact polynomial division")
-    rem = list(pn)
-    lg = pg[-1]
-    quo = [0] * (len(pn) - len(pg) + 1)
-    for k in range(len(quo) - 1, -1, -1):
-        top = rem[k + len(pg) - 1]
-        if top == 0:
-            continue
-        q, r = divmod(top, lg)
-        if r:
-            raise ValueError("inexact polynomial division")
-        quo[k] = q
-        for i, c in enumerate(pg):
-            rem[k + i] -= q * c
-    if any(rem):
-        raise ValueError("inexact polynomial division")
+    quo = _int_divexact(pn, pg)
+    if quo is None:
+        raise ArithmeticError("inexact polynomial division")
     scale = (Fraction(n.leading()) / pn[-1]) / (Fraction(g.leading()) / pg[-1])
     return Poly(tuple(c * scale for c in quo))
 

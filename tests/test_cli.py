@@ -5,6 +5,7 @@ import json
 import pytest
 
 from mkdv_a22.cli import main
+from mkdv_a22.exact import X
 
 
 def run_cli(capsys, *argv):
@@ -132,6 +133,14 @@ def test_internal_error_exit_code(capsys, monkeypatch, exc):
     code, out, err = run_cli(capsys, "kdv-check", "0", "--c", "3", "--r", "1")
     assert code == 3 and out == ""
     assert err.startswith("internal error:") and str(exc) in err
+
+
+def test_inexact_division_is_an_internal_error(capsys, monkeypatch):
+    # a gcd that does not divide its arguments breaks the first reduction
+    monkeypatch.setattr("mkdv_a22.exact.poly_gcd", lambda a, b: X + 12345)
+    code, out, err = run_cli(capsys, "generate", "0,1", "--c=2,5")
+    assert code == 3 and out == ""
+    assert err == "internal error: ArithmeticError: inexact polynomial division\n"
 
 
 def test_negative_parameters_with_equals_form(capsys):

@@ -1,11 +1,15 @@
 """Scalar, polynomial, and rational-function arithmetic."""
 
+import hashlib
 import random
 from fractions import Fraction as F
 
 import pytest
 import sympy as sp
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
+from mkdv_a22 import exact
+from mkdv_a22.cli import main
 from mkdv_a22.exact import (
     ONE,
     X,
@@ -84,6 +88,101 @@ def test_poly_divmod_and_gcd():
         assert (b * g) % d == Poly()
         lcm = poly_lcm(a * g, b * g)
         assert lcm % (a * g) == Poly()
+
+
+# --- gcd and reduction against sympy ---------------------------------------------
+
+SX = sp.symbols("x")
+RATS = st.fractions(min_value=-30, max_value=30, max_denominator=7)
+POLYS = st.lists(RATS, max_size=7).map(Poly)
+NONZERO = POLYS.filter(lambda p: not p.is_zero())
+SMALL = st.lists(RATS, min_size=1, max_size=4).map(Poly).filter(lambda p: not p.is_zero())
+REPEATED = st.builds(
+    lambda c, k, a: (X - c) ** k * a,
+    st.fractions(min_value=-5, max_value=5, max_denominator=3),
+    st.integers(1, 4),
+    SMALL,
+)
+PAIRS = st.one_of(
+    st.tuples(POLYS, POLYS),
+    st.builds(lambda g, a, b: (g * a, g * b), NONZERO, POLYS, POLYS),
+    st.builds(lambda a, b, c: (a * b, a * c.derivative()), REPEATED, SMALL, REPEATED),
+    st.tuples(REPEATED, REPEATED),
+)
+PROPERTY = settings(
+    max_examples=60,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+
+
+def to_sympy(p: Poly) -> sp.Poly:
+    cs = [sp.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    return sp.Poly(cs or [0], SX, domain=sp.QQ)
+
+
+def from_sympy(p: sp.Poly) -> Poly:
+    return Poly(F(int(c.p), int(c.q)) for c in reversed(p.all_coeffs()))
+
+
+@pytest.fixture(params=["heuristic", "prs-fallback"])
+def gcd_path(request):
+    """Run a test as is, or with the heuristic gcd always giving up; counts
+    the pseudo-remainder steps so each path can be shown to be taken."""
+    steps = []
+    prem = exact._int_prem
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_int_prem", lambda a, b: steps.append(1) or prem(a, b))
+        if request.param == "prs-fallback":
+            mp.setattr(exact, "_heu_gcd", lambda fa, fb: None)
+        yield request.param, steps
+
+
+def test_poly_gcd_matches_sympy(gcd_path):
+    path, steps = gcd_path
+
+    @seed(20261018)
+    @PROPERTY
+    @given(PAIRS)
+    def check(pair):
+        a, b = pair
+        assert poly_gcd(a, b) == from_sympy(sp.gcd(to_sympy(a), to_sympy(b)))
+
+    check()
+    assert bool(steps) == (path == "prs-fallback")
+
+
+@seed(20261018)
+@PROPERTY
+@given(POLYS, NONZERO)
+def test_ratfunc_matches_sympy_cancel(n, d):
+    p, q = to_sympy(n).cancel(to_sympy(d), include=True)
+    lc = q.LC()
+    r = RatFunc(n, d)
+    assert (r.num, r.den) == (from_sympy(p.quo_ground(lc)), from_sympy(q.quo_ground(lc)))
+
+
+def test_cli_output_does_not_rest_on_the_heuristic(capsys, gcd_path):
+    path, steps = gcd_path
+    outputs = []
+    for command in ("generate", "miura"):
+        assert main([command, "0,1,0,1,0,1,0", "--c=3,-1/2,2,1/3,-2,5/4,1"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert bool(steps) == (path == "prs-fallback")
+    assert [hashlib.sha256(o.encode()).hexdigest()[:16] for o in outputs] == [
+        "73b6ff77174d77f8",  # sha256 prefix of the generate output
+        "edc45115306fb1ab",  # and of the miura output
+    ]
+
+
+def test_inexact_division_is_an_arithmetic_error():
+    with pytest.raises(ArithmeticError, match="inexact polynomial division"):
+        (X * X + 1).divexact(X + 1)
+    with pytest.raises(ArithmeticError, match="inexact polynomial division"):
+        (X * X + 1).divexact(2 * X + F(1, 3))
+    assert exact._int_divexact([1, 0, 1], [1, 1]) is None
+    assert exact._int_divexact([-1, 0, 1], [1, 1]) == [-1, 1]
 
 
 # --- wronskian / log derivative / laurent ---------------------------------------
