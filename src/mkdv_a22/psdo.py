@@ -19,9 +19,19 @@ R^3 = R*R^2, with every coefficient's derivatives cached across steps.
 
 Fractional powers use r = 3q + s (s = 1, 2): (L^(r/3))+ = (L^q R^s)+, where
 L^q is an exact differential operator of order 3q and R^s is R or the R^2
-kept by the same solve, so R is needed to depth r only.  The result is
-checked, not assumed: R is solved two orders deeper, (R^s L^q)+ is taken
-from the full deeper root, and the two nonnegative parts must agree.
+kept by the same solve, so R is needed to depth r only.  ``frac_power_plus``
+checks that result, not assumes it: R is solved two orders deeper, (R^s L^q)+
+is taken from the full deeper root, and the two nonnegative parts must agree.
+
+The KdV flow needs no (L^(r/3))+.  With X = L^(r/3), [L, X] = 0 turns
+[L, X+] into [X-, L], and only x1 = [X]_{-1} and x2 = [X]_{-2} reach its
+orders >= 0 (Gelfand & Dickey, Funct. Anal. Appl. 10, 1976):
+
+    u1_dot = -3 x1',    u0_dot = -3 (x1'' + x2').
+
+``kdv_field`` solves R to depth r + 2 and forms just these two coefficients
+of R^s L^q.  The tracked floor of that product must be at most -2, so both
+residues are exact; a shallower root is an internal error.
 
 This module is the bottom of the operator stack: it imports only ``exact``,
 and ``miura`` builds its scalar maps and the mKdV-to-KdV diagram on it.
@@ -259,15 +269,8 @@ def _product_coeff(a: Dict[int, List[RatFunc]], b: Dict[int, List[RatFunc]], n: 
     return total
 
 
-def frac_power_plus(op: DiffOp3, r: int) -> PsDO:
-    """Differential-operator part of the r/3 power, exact at every order.
-
-    With r = 3q + s, (L^(r/3))+ = (L^q R^s)+ for R = L^(1/3).  L^q is an
-    exact differential operator of order 3q, so R^s is needed down to order
-    -3q only: R to depth r.  The check solves R two orders deeper and takes
-    the other product, (R^s L^q)+ (the factors commute), from the full
-    deeper root; the two nonnegative parts must agree.
-    """
+def _power_parts(op: DiffOp3, r: int) -> Tuple[int, int, PsDO]:
+    """r = 3q + s as (q, s, L^q), for a positive r not divisible by 3."""
     if r <= 0:
         raise ValueError("power must be positive")
     if r % 3 == 0:
@@ -277,6 +280,19 @@ def frac_power_plus(op: DiffOp3, r: int) -> PsDO:
     lq = PsDO.one()
     for _ in range(q):
         lq = lq * lop
+    return q, s, lq
+
+
+def frac_power_plus(op: DiffOp3, r: int) -> PsDO:
+    """Differential-operator part of the r/3 power, exact at every order.
+
+    With r = 3q + s, (L^(r/3))+ = (L^q R^s)+ for R = L^(1/3).  L^q is an
+    exact differential operator of order 3q, so R^s is needed down to order
+    -3q only: R to depth r.  The check solves R two orders deeper and takes
+    the other product, (R^s L^q)+ (the factors commute), from the full
+    deeper root; the two nonnegative parts must agree.
+    """
+    q, s, lq = _power_parts(op, r)
     rs = _root_and_square(op, r + 2)[s - 1]
     plus = (lq * rs.truncate(-3 * q)).plus_part()
     if (rs * lq).plus_part() != plus:
@@ -288,16 +304,22 @@ def frac_power_plus(op: DiffOp3, r: int) -> PsDO:
 
 
 def kdv_field(op: DiffOp3, r: int) -> OpTangent:
-    """Coefficients (u1_dot, u0_dot) of [L, (L^(r/3))+].
+    """Coefficients (u1_dot, u0_dot) of [L, (L^(r/3))+], from two residues.
 
-    The commutator of the full fractional power with L vanishes, so this
-    bracket closes at order <= 1; anything higher signals a truncation bug
-    and is an error.
+    [L, X+] = [X-, L] for X = L^(r/3) = R^s L^q, and its orders 1 and 0 are
+    -3 x1' and -3 (x1'' + x2') with x1, x2 the coefficients of X at orders
+    -1 and -2.  A root to depth r + 2 fixes R^s L^q down to order -2; the
+    tracked floor of the product is checked, and anything above -2 is an
+    ``ArithmeticError`` (an internal error, exit 3 in the CLI).
     """
-    plus = frac_power_plus(op, r)
-    lop = from_diffop3(op)
-    comm = lop * plus - plus * lop
-    top = comm.top()
-    if top is not None and top > 1:
-        raise ArithmeticError(f"flow bracket has order {top}, expected <= 1")
-    return OpTangent(comm.coeff(1), comm.coeff(0))
+    _, s, lq = _power_parts(op, r)
+    rs = _root_and_square(op, r + 2)[s - 1]
+    floor = _mul_floor(rs, lq)
+    if floor is not None and floor > -2:
+        raise ArithmeticError(f"R^s L^q is exact only down to order {floor}, residues need -2")
+    a = {i: [c] for i, c in rs.terms.items()}
+    b = {j: [c] for j, c in lq.terms.items()}  # derivative caches shared by both residues
+    x1 = _product_coeff(a, b, -1)
+    x2 = _product_coeff(a, b, -2)
+    dx1 = x1.derivative()
+    return OpTangent(dx1 * -3, (dx1.derivative() + x2.derivative()) * -3)

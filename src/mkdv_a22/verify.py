@@ -417,10 +417,18 @@ def verify_kdv(config: RunConfig) -> SuiteReport:
     ok = True
     for _ in range(config.samples):
         op = DiffOp3(_random_ratfunc(rng, 1, 1), _random_ratfunc(rng, 1, 1))
+        lop = from_diffop3(op)
         for r in (1, 2, 4, 5):
             plus = frac_power_plus(op, r)
-            ok = ok and plus.top() == r and plus.coeff(r) == RatFunc.one()
-            u1_dot, u0_dot = kdv_field(op, r)  # asserts bracket order <= 1
+            comm = lop * plus - plus * lop
+            field = kdv_field(op, r)
+            ok = (
+                ok
+                and plus.top() == r
+                and plus.coeff(r) == RatFunc.one()
+                and (comm.top() or 0) <= 1
+                and field == (comm.coeff(1), comm.coeff(0))
+            )
     rep.add("fractional powers have exact shape; brackets close at order 1", ok)
 
     for j_seq in basic_words([0, 1, 2, 3]):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from mkdv_a22.cli import main
 from mkdv_a22.exact import ONE, X, Poly, RatFunc
 from mkdv_a22.generation import generate_multistep
 from mkdv_a22.miura import DiffOp3, consistency_check, embed_a1, miura_from_trace, miura_map
@@ -196,16 +197,60 @@ def test_kdv_field_vanishes_on_stationary_rational_operator():
         assert kdv_field(op, r) == (RatFunc.zero(), RatFunc.zero())
 
 
-def test_commutator_closes_at_order_one():
+def _maps(js):
+    # the three scalar maps of a basic word, at c = (0, 1)[:len(js)]
+    emb = embed_a1(miura_from_trace(generate_multistep(js, (F(0), F(1))[: len(js)])))
+    return [miura_map(i, emb) for i in range(3)]
+
+
+def test_kdv_field_matches_full_bracket():
+    # oracle: the bracket [L, (L^{r/3})+] itself, formed in full; it closes at
+    # order <= 1 and its orders 1 and 0 are the two-residue flow.  The random
+    # operators stop at r = 7: their coefficients grow fast, and r = 13 costs
+    # seconds for each of them.
     rng = random.Random(58)
-    for _ in range(5):
-        op = DiffOp3(rand_ratfunc(rng, 1, 1), rand_ratfunc(rng, 1, 1))
-        for r in (1, 2, 4, 5):
+    words = ((), (0,), (1,), (0, 1), (1, 0))
+    cases = [(op, (1, 2, 4, 5, 7, 8, 10, 11, 13)) for js in words for op in _maps(js)]
+    cases += [
+        (DiffOp3(rand_ratfunc(rng, 1, 1), rand_ratfunc(rng, 1, 1)), (1, 2, 4, 5, 7))
+        for _ in range(5)
+    ]
+    for op, rs in cases:
+        lop = from_diffop3(op)
+        for r in rs:
             plus = frac_power_plus(op, r)
-            lop = from_diffop3(op)
             comm = lop * plus - plus * lop
             top = comm.top()
             assert top is None or top <= 1
+            assert kdv_field(op, r) == (comm.coeff(1), comm.coeff(0)), (op, r)
+
+
+def test_kdv_field_matches_other_factor_order():
+    # the residues of L^q R^s (the factors commute) give the same flow
+    for op in _maps((0, 1)):
+        for r in (1, 2, 4, 5, 7):
+            _, s, lq = psdo._power_parts(op, r)
+            x = lq * psdo._root_and_square(op, r + 2)[s - 1]
+            assert x.floor <= -2
+            dx1 = x.coeff(-1).derivative()
+            assert kdv_field(op, r) == (
+                dx1 * -3,
+                (dx1.derivative() + x.coeff(-2).derivative()) * -3,
+            )
+
+
+def test_kdv_field_shallow_root_raises(monkeypatch, capsys):
+    # a root solver one order too shallow leaves R^s L^q exact only down to
+    # order -1, so the residue at order -2 is unknown
+    solve = psdo._root_and_square
+    monkeypatch.setattr(psdo, "_root_and_square", lambda op, depth: solve(op, depth - 1))
+    op = DiffOp3(rand_ratfunc(random.Random(60)), rand_ratfunc(random.Random(61)))
+    for r in (1, 2, 4, 5):
+        with pytest.raises(ArithmeticError, match="residues need -2"):
+            kdv_field(op, r)
+    assert main(["kdv-check", "0", "--c", "3", "--r", "5"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error: ArithmeticError:")
 
 
 # --- the mKdV-to-KdV diagram -------------------------------------------------------------
