@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         required=True,
         help="flow index, 1 or 5 mod 6; the cost grows steeply with r and is mostly the"
-        " cube-root solve (kdv-check 0 --c 1 --r 25 takes about 1 s, --r 49 about 9 s)",
+        " cube-root solve (kdv-check 0 --c 1 --r 25 takes about 0.4 s, --r 49 about 3 s)",
     )
     p.add_argument("--i", type=int, default=None, help="scalar map index (default: all)")
     p.add_argument("--json", action="store_true", help="accepted for uniformity; always JSON")

@@ -1,12 +1,16 @@
 """Exact scalar and polynomial arithmetic used by every other module.
 
-Coefficients are ``fractions.Fraction`` (aliased ``Rat``): arbitrary-precision
+Scalars are ``fractions.Fraction`` (aliased ``Rat``): arbitrary-precision
 rationals.  Plain ints are accepted everywhere and promote automatically.
 
 ``Poly`` is a dense univariate polynomial over the rationals (degrees stay in
-the dozens here, so dense storage is the right trade), and ``RatFunc`` is a
-reduced quotient of two ``Poly`` with monic denominator.  Values are
-immutable and operations pure; everything is safe to share across threads.
+the dozens here, so dense storage is the right trade), stored as a rational
+content times a primitive integer polynomial (Geddes, Czapor & Labahn,
+*Algorithms for Computer Algebra*, 1992, section 2.6): products, sums,
+derivatives and gcds run on integers and make one ``Fraction`` per
+operation, not one per coefficient.  ``RatFunc`` is a reduced quotient of
+two ``Poly`` with monic denominator.  Values are immutable and operations
+pure; everything is safe to share across threads.
 
 Nothing in this module touches floating point.
 """
@@ -21,22 +25,46 @@ Rat = Fraction
 
 
 class Poly:
-    """Dense univariate polynomial: ``coeffs[i]`` multiplies x**i.
+    """Dense univariate polynomial ``cont * sum(ints[i] * x**i)``.
 
-    The zero polynomial is the empty tuple; otherwise there is no trailing
+    ``ints`` is a primitive integer tuple (gcd 1) whose last entry is
+    positive and ``cont`` a nonzero ``Fraction``; the zero polynomial has
+    ``ints == ()`` and ``cont == 0``.  The form is unique, so equality
+    compares one tuple and one Fraction.  ``coeffs`` is the Fraction view
+    ``coeffs[i] == cont * ints[i]``, built on first use; it has no trailing
     zero and ``degree() == len(coeffs) - 1``.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("cont", "ints", "_coeffs")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = math.lcm(*(c.denominator for c in cs))
+        out = [c.numerator * (den // c.denominator) for c in cs]
+        p = _normal(Fraction(1, den), out)
+        object.__setattr__(self, "cont", p.cont)
+        object.__setattr__(self, "ints", p.ints)
+
+    @staticmethod
+    def _make(cont: Fraction, ints: tuple) -> "Poly":
+        """Bypass normalization; caller guarantees the form above."""
+        self = object.__new__(Poly)
+        object.__setattr__(self, "cont", cont)
+        object.__setattr__(self, "ints", ints)
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Poly is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        try:
+            return self._coeffs
+        except AttributeError:
+            cont = self.cont
+            view = tuple(c * cont for c in self.ints)
+            object.__setattr__(self, "_coeffs", view)
+            return view
 
     @staticmethod
     def lift(p) -> "Poly":
@@ -45,41 +73,51 @@ class Poly:
         return Poly((p,))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def degree(self) -> int:
         """Degree, with the convention degree(0) = -1."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def coeff(self, i: int):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.ints):
+            return self.cont * self.ints[i]
         return Fraction(0)
 
     def leading(self):
-        if not self.coeffs:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.cont * self.ints[-1]
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        cont = self.cont
+        return bool(self.ints) and cont.numerator == 1 and cont.denominator == self.ints[-1]
 
     def monic(self) -> "Poly":
-        lc = self.leading()
-        if lc == 1:
+        if self.leading() == 1:
             return self
-        inv = _one_over(lc)
-        return Poly(tuple(c * inv for c in self.coeffs))
+        return Poly._make(Fraction(1, self.ints[-1]), self.ints)
 
     def __add__(self, other):
         o = Poly.lift(other)
-        a, b = self.coeffs, o.coeffs
+        if not o.ints:
+            return self
+        if not self.ints:
+            return o
+        # ca*A + cb*B = (h/den) * (sa*A + sb*B) with coprime integers sa, sb
+        ca, cb = self.cont, o.cont
+        da, db = ca.denominator, cb.denominator
+        g = math.gcd(da, db)
+        sa, sb = ca.numerator * (db // g), cb.numerator * (da // g)
+        h = math.gcd(sa, sb)
+        sa, sb = sa // h, sb // h
+        a, b = self.ints, o.ints
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
+            a, b, sa, sb = b, a, sb, sa
+        out = list(a) if sa == 1 else [sa * c for c in a]
         for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
+            out[i] += sb * c
+        return _normal(Fraction(h, da // g * db), out)
 
     __radd__ = __add__
 
@@ -90,21 +128,28 @@ class Poly:
         return Poly.lift(other) + (-self)
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        if not self.ints:
+            return self
+        return Poly._make(-self.cont, self.ints)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
+            if not self.ints or not other.ints:
                 return Poly()
-            return _mul_rational(self, other)
-        return Poly(tuple(c * other for c in self.coeffs))
+            # Gauss: a product of primitive polynomials is primitive
+            return Poly._make(self.cont * other.cont, _convolve(self.ints, other.ints))
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not other or not self.ints:
+            return Poly()
+        return Poly._make(self.cont * other, self.ints)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("Poly exponent must be a nonnegative integer")
-        result = Poly((1,))
+        result = ONE
         base = self
         while n:
             if n & 1:
@@ -140,35 +185,45 @@ class Poly:
         return divmod(self, other)[1]
 
     def divexact(self, other) -> "Poly":
-        other = Poly.lift(other)
-        if not self.is_zero() and other.degree() > 0:
-            return _divexact_rational(self, other)
-        return divmod(self, other)[0]  # a nonzero constant always divides
+        """Quotient of an exact division; ArithmeticError if it is not.
+
+        Primitive over primitive is an integer polynomial when the division
+        is exact (Gauss), so the long division never leaves the integers.
+        """
+        o = Poly.lift(other)
+        if o.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        if not self.ints:
+            return self
+        quo = _int_divexact(self.ints, o.ints) if o.ints != (1,) else self.ints
+        if quo is None:
+            raise ArithmeticError("inexact polynomial division")
+        return Poly._make(self.cont / o.cont, tuple(quo))
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return _normal(self.cont, [i * c for i, c in enumerate(self.ints) if i])
 
     def __call__(self, x):
         acc = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(self.ints):
             acc = acc * x + c
-        return acc
+        return acc * self.cont
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.ints == other.ints and self.cont == other.cont
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == Poly((other,)).coeffs
+            return self == Poly((other,))
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.cont, self.ints))
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.ints:
             return "0"
         parts = []
         for i in range(len(self.coeffs) - 1, -1, -1):
@@ -184,45 +239,37 @@ class Poly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-X = Poly((Fraction(0), Fraction(1)))
-ONE = Poly((Fraction(1),))
+def _normal(cont: Fraction, out: list) -> Poly:
+    """The Poly cont * sum(out[i] * x**i) for any integer list ``out``."""
+    while out and not out[-1]:
+        out.pop()
+    if not out:
+        return Poly._make(Fraction(0), ())
+    g = math.gcd(*out)
+    if out[-1] < 0:
+        g = -g
+    if g != 1:
+        out = [c // g for c in out]
+        cont = cont * g
+    return Poly._make(cont, tuple(out))
 
 
-def _to_int_scaled(p: Poly) -> tuple[list, int]:
-    """Integer coefficient list and the common denominator that was cleared."""
-    den = 1
-    for c in p.coeffs:
-        cd = c.denominator
-        den = den * cd // math.gcd(den, cd)
-    return [c.numerator * (den // c.denominator) for c in p.coeffs], den
-
-
-def _mul_rational(a: Poly, b: Poly) -> Poly:
-    """Product over the rationals via one integer convolution.
-
-    Clearing denominators first keeps the inner loop on machine integers,
-    which is far cheaper than per-term Fraction normalization.
-    """
-    ca, da = _to_int_scaled(a)
-    cb, db = _to_int_scaled(b)
-    out = [0] * (len(ca) + len(cb) - 1)
-    for i, x in enumerate(ca):
+def _convolve(a: tuple, b: tuple) -> tuple:
+    """Schoolbook product of integer coefficient tuples."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(cb):
+            for j, y in enumerate(b):
                 out[i + j] += x * y
-    scale = da * db
-    return Poly(tuple(Fraction(c, scale) for c in out))
+    return tuple(out)
+
+
+X = Poly((0, 1))
+ONE = Poly((1,))
 
 
 def _int_content(cs: Sequence[int]) -> int:
     return math.gcd(*cs) or 1
-
-
-def _to_int_primitive(p: Poly) -> list:
-    """Scale a rational polynomial to a primitive integer coefficient list."""
-    cs, _ = _to_int_scaled(p)
-    g = _int_content(cs)
-    return [c // g for c in cs]
 
 
 def _int_prem(a: list, b: list) -> list:
@@ -255,7 +302,7 @@ def _int_prem(a: list, b: list) -> list:
 _HEU_GCD_TRIES = 6
 
 
-def _int_divexact(a: list, b: list) -> Optional[list]:
+def _int_divexact(a: Sequence[int], b: Sequence[int]) -> Optional[list]:
     """Quotient of integer coefficient lists when ``b`` divides ``a`` in Z[x],
     otherwise None.
 
@@ -282,8 +329,9 @@ def _int_divexact(a: list, b: list) -> Optional[list]:
     return quo
 
 
-def _heu_gcd(fa: list, fb: list) -> Optional[list]:
-    """Primitive gcd of two primitive integer polynomials, or None.
+def _heu_gcd(fa: Sequence[int], fb: Sequence[int]) -> Optional[tuple]:
+    """(h, fa/h, fb/h) for two primitive integer polynomials, with h their
+    primitive gcd of positive leading coefficient, or None.
 
     GCDHEU: evaluate both at an integer xi, take the integer gcd of the two
     values, and read a candidate off its symmetric xi-adic digits.  With
@@ -291,8 +339,9 @@ def _heu_gcd(fa: list, fb: list) -> Optional[list]:
     divides both inputs is their gcd (Char, Geddes & Gonnet, J. Symbolic
     Comput. 7, 1989); a constant candidate therefore certifies coprimality
     without any division.  The same bound keeps xi above every root of the
-    input with the smaller norm, so the gcd of the values is never 0.  After
-    a rejected candidate xi grows by sympy's schedule; None means give up.
+    input with the smaller norm, so the gcd of the values is never 0.  The
+    accepting divisions give the cofactors.  After a rejected candidate xi
+    grows by sympy's schedule; None means give up.
     """
     xi = 2 * min(max(map(abs, fa)), max(map(abs, fb))) + 2
     for _ in range(_HEU_GCD_TRIES):
@@ -310,40 +359,56 @@ def _heu_gcd(fa: list, fb: list) -> Optional[list]:
             h.append(d)
             gamma = (gamma - d) // xi
         if len(h) == 1:
-            return [1]
+            return [1], fa, fb
         g = _int_content(h)
+        if h[-1] < 0:
+            g = -g
         h = [c // g for c in h]
-        if _int_divexact(fa, h) is not None and _int_divexact(fb, h) is not None:
-            return h
+        qa = _int_divexact(fa, h)
+        if qa is not None:
+            qb = _int_divexact(fb, h)
+            if qb is not None:
+                return h, qa, qb
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     return None
 
 
-def _gcd_rational(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over the rationals of two nonconstant polynomials.
+def _gcd_cofactors(a: Poly, b: Poly) -> tuple:
+    """(g, a/g, b/g) with g the monic gcd of two nonzero polynomials.
 
-    Both are scaled to primitive integer polynomials.  The heuristic
-    ``_heu_gcd`` (GCDHEU, proven start xi >= 2*min(|fa|, |fb|) + 2, accepted
-    only after an exact division check) settles almost every pair with one
-    integer gcd; this is the hot path of every RatFunc reduction.  When it
-    gives up after ``_HEU_GCD_TRIES`` values of xi, a primitive
-    pseudo-remainder sequence over the integers decides, which avoids the
-    coefficient blowup of a fraction-based Euclid.
+    The heuristic ``_heu_gcd`` (GCDHEU, proven start xi >= 2*min(|fa|, |fb|)
+    + 2, accepted only after an exact division check) settles almost every
+    pair with one integer gcd and hands back both quotients; this is the hot
+    path of every RatFunc reduction.  When it gives up after
+    ``_HEU_GCD_TRIES`` values of xi, a primitive pseudo-remainder sequence
+    over the integers decides, which avoids the coefficient blowup of a
+    fraction-based Euclid, and one exact division per input gives the
+    cofactors.  With a constant input the gcd is 1.
     """
-    fa, fb = _to_int_primitive(a), _to_int_primitive(b)
-    h = _heu_gcd(fa, fb)
-    if h is None:
-        if len(fa) < len(fb):
-            fa, fb = fb, fa
-        while fb:
-            r = _int_prem(fa, fb)
-            g = _int_content(r)
-            fa, fb = fb, [c // g for c in r]
-        h = fa
-    if len(h) == 1:
-        return ONE
-    lc = Fraction(h[-1])
-    return Poly(tuple(Fraction(c) / lc for c in h))
+    fa, fb = a.ints, b.ints
+    if len(fa) < 2 or len(fb) < 2:
+        return ONE, a, b
+    hit = _heu_gcd(fa, fb)
+    if hit is not None:
+        h, qa, qb = hit
+        if len(h) == 1:
+            return ONE, a, b
+        lead = h[-1]
+        return (
+            Poly._make(Fraction(1, lead), tuple(h)),
+            Poly._make(a.cont * lead, tuple(qa)),
+            Poly._make(b.cont * lead, tuple(qb)),
+        )
+    if len(fa) < len(fb):
+        fa, fb = fb, fa
+    while fb:
+        r = _int_prem(fa, fb)
+        g = _int_content(r)
+        fa, fb = fb, [c // g for c in r]
+    if len(fa) == 1:
+        return ONE, a, b
+    g = _normal(Fraction(1), list(fa)).monic()
+    return g, a.divexact(g), b.divexact(g)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -352,9 +417,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return b.monic() if not b.is_zero() else b
     if b.is_zero():
         return a.monic()
-    if a.degree() == 0 or b.degree() == 0:
-        return ONE
-    return _gcd_rational(a, b)
+    return _gcd_cofactors(a, b)[0]
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
@@ -362,23 +425,6 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
         return Poly()
     g = poly_gcd(a, b)
     return (a * b.divexact(g)).monic()
-
-
-def _divexact_rational(n: Poly, g: Poly) -> Poly:
-    """Exact quotient over the rationals through primitive integer division.
-
-    With both operands reduced to primitive integer polynomials the quotient
-    of an exact division is again an integer polynomial (Gauss), so the long
-    division runs on machine integers and only two Fraction operations fix
-    the overall scale.
-    """
-    pn = _to_int_primitive(n)
-    pg = _to_int_primitive(g)
-    quo = _int_divexact(pn, pg)
-    if quo is None:
-        raise ArithmeticError("inexact polynomial division")
-    scale = (Fraction(n.leading()) / pn[-1]) / (Fraction(g.leading()) / pg[-1])
-    return Poly(tuple(c * scale for c in quo))
 
 
 class RatFunc:
@@ -399,12 +445,9 @@ class RatFunc:
         if num.is_zero():
             num, den = Poly(), ONE
         else:
-            g = poly_gcd(num, den)
-            if g.degree() > 0:
-                num, den = num.divexact(g), den.divexact(g)
-            lc = den.leading()
-            if lc != 1:
-                num = num * (_one_over(lc))
+            _, num, den = _gcd_cofactors(num, den)
+            if not den.is_monic():
+                num = num * _one_over(den.leading())
                 den = den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -444,11 +487,8 @@ class RatFunc:
         o = RatFunc.lift(other)
         if self.den == o.den:
             return RatFunc(self.num + o.num, self.den)
-        g = poly_gcd(self.den, o.den)
-        if g.degree() > 0:
-            da, db = self.den.divexact(g), o.den.divexact(g)
-            return RatFunc(self.num * db + o.num * da, self.den * db)
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        _, da, db = _gcd_cofactors(self.den, o.den)
+        return RatFunc(self.num * db + o.num * da, self.den * db)
 
     __radd__ = __add__
 
@@ -470,12 +510,8 @@ class RatFunc:
         o = RatFunc.lift(other)
         if self.num.is_zero() or o.num.is_zero():
             return RF_ZERO
-        g1 = poly_gcd(self.num, o.den)
-        g2 = poly_gcd(o.num, self.den)
-        n1 = self.num.divexact(g1) if g1.degree() > 0 else self.num
-        d2 = o.den.divexact(g1) if g1.degree() > 0 else o.den
-        n2 = o.num.divexact(g2) if g2.degree() > 0 else o.num
-        d1 = self.den.divexact(g2) if g2.degree() > 0 else self.den
+        _, n1, d2 = _gcd_cofactors(self.num, o.den)
+        _, n2, d1 = _gcd_cofactors(o.num, self.den)
         # both factors are reduced and the cross gcds are cancelled, so the
         # quotient is already in lowest terms; d1 and d2 are monic
         return RatFunc._raw(n1 * n2, d1 * d2)
@@ -505,12 +541,8 @@ class RatFunc:
         dp = d.derivative()
         # cancel the repeated part of d up front: with d = g*a, d' = g*b the
         # quotient rule collapses to (n'a - nb)/(d*a), much smaller than /d^2
-        g = poly_gcd(d, dp)
-        if g.degree() > 0:
-            a = d.divexact(g)
-            b = dp.divexact(g)
-            return RatFunc(n.derivative() * a - n * b, d * a)
-        return RatFunc(n.derivative() * d - n * dp, d * d)
+        _, a, b = _gcd_cofactors(d, dp)
+        return RatFunc(n.derivative() * a - n * b, d * a)
 
     def __call__(self, x):
         return self.num(x) / self.den(x)

@@ -215,7 +215,7 @@ def conjugate(p: LaurentMat, m: LaurentMat, p_inv: LaurentMat, degrees: range) -
     """The part of p * m * p_inv in the principal degrees ``degrees``, after
     checking that p_inv really inverts p."""
     if p * p_inv != LaurentMat.identity():
-        raise ValueError("p_inv is not the inverse of p")
+        raise ArithmeticError("p_inv is not the inverse of p")
     full = p * m * p_inv
     return LaurentMat({k: v for k, v in full.terms.items() if grade(*k) in degrees})
 

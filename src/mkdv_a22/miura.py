@@ -20,8 +20,9 @@ tangents X*h0 collapse to the closed forms
     dm1 : X -> (X' - 2vX) d
 
 which are also available for arbitrary sum-zero tangents via the product
-rule over the ordered factors.  Both the maps and their derivatives are
-products of first-order ``PsDO`` factors d - v_k.
+rule over the ordered factors.  The maps are products of first-order
+``PsDO`` factors d - v_k; their derivatives take orders 1 and 0 of the
+product rule in closed form.
 
 The mKdV-to-KdV diagram closes here: the mKdV flow value X*h0 pushed
 through the derivative of a scalar map must equal the KdV flow
@@ -149,20 +150,39 @@ def d_miura_map_a1(
     i: int, oper: MiuraOperA1, tangent: Sequence[RatFunc]
 ) -> OpTangent:
     """Derivative of the i-th scalar map along any sum-zero diagonal tangent,
-    by the product rule over the three ordered factors."""
-    factors = _factors(oper, i)
+    by the product rule over the three ordered factors d - p, d - q, d - s.
+
+    Each term replaces one factor by the multiplication -x with x the
+    matching tangent component; its d^2 coefficient is -x, so on a sum-zero
+    tangent the three cancel and only orders 1 and 0 are formed:
+
+        -x (d - q)(d - s)      x(q + s) d - x(qs - s')
+        (d - p) (-x) (d - s)   (xs + px - x') d + (xs)' - pxs
+        (d - p)(d - q) (-x)    ((p + q)x - 2x') d + (p + q)x' - x'' - (pq - q')x
+
+    A zero component contributes nothing and is skipped.
+    """
+    if i not in _FACTOR_ORDER:
+        raise ValueError("scalar map index must be 0, 1, or 2")
     xs = [RatFunc.lift(t) for t in tangent]
     if len(xs) != 3 or not (xs[0] + xs[1] + xs[2]).is_zero():
         raise ValueError("tangent must be a sum-zero triple")
-    total = PsDO.zero()
-    for pos, k in enumerate(_FACTOR_ORDER[i]):
-        pieces = list(factors)
-        pieces[pos] = PsDO({0: -xs[k]})
-        a, b, c = pieces
-        total = total + a * b * c
-    if (total.top() or 0) > 1:
-        raise ValueError("tangent of a sum-zero factorization must have order <= 1")
-    return OpTangent(total.coeff(1), total.coeff(0))
+    order = _FACTOR_ORDER[i]
+    p, q, s = (oper.vs[k] for k in order)
+    x1, x2, x3 = (xs[k] for k in order)
+    u1 = u0 = RF_ZERO
+    if not x1.is_zero():
+        u1 = u1 + x1 * (q + s)
+        u0 = u0 - x1 * (q * s - s.derivative())
+    if not x2.is_zero():
+        x2s = x2 * s
+        u1 = u1 + x2s + p * x2 - x2.derivative()
+        u0 = u0 + x2s.derivative() - p * x2s
+    if not x3.is_zero():
+        pq, d3 = p + q, x3.derivative()
+        u1 = u1 + pq * x3 - d3 * 2
+        u0 = u0 + pq * d3 - d3.derivative() - (p * q - q.derivative()) * x3
+    return OpTangent(u1, u0)
 
 
 # --- the mKdV-to-KdV diagram --------------------------------------------------

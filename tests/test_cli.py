@@ -4,8 +4,8 @@ import json
 
 import pytest
 
+from mkdv_a22 import flows
 from mkdv_a22.cli import main
-from mkdv_a22.exact import X
 
 
 def run_cli(capsys, *argv):
@@ -136,11 +136,31 @@ def test_internal_error_exit_code(capsys, monkeypatch, exc):
 
 
 def test_inexact_division_is_an_internal_error(capsys, monkeypatch):
-    # a gcd that does not divide its arguments breaks the first reduction
-    monkeypatch.setattr("mkdv_a22.exact.poly_gcd", lambda a, b: X + 12345)
+    # a gcd that does not divide its arguments breaks the first reduction:
+    # the heuristic gives up and every pseudo-remainder reads 0, so the
+    # fallback takes the shorter input for the gcd
+    monkeypatch.setattr("mkdv_a22.exact._heu_gcd", lambda fa, fb: None)
+    monkeypatch.setattr("mkdv_a22.exact._int_prem", lambda a, b: [])
     code, out, err = run_cli(capsys, "generate", "0,1", "--c=2,5")
     assert code == 3 and out == ""
     assert err == "internal error: ArithmeticError: inexact polynomial division\n"
+
+
+def test_wrong_dressing_inverse_is_an_internal_error(capsys, monkeypatch):
+    # the flow conjugates by E(g, j) and then E(-g, j); doubling the inverse
+    # of the first factor breaks the per-factor check, an engine invariant
+    real, made = flows.exp_dressing, []
+
+    def doubled_inverse(g, j):
+        made.append(g)
+        m = real(g, j)
+        return m + m if len(made) == 2 else m
+
+    monkeypatch.setattr("mkdv_a22.flows.exp_dressing", doubled_inverse)
+    code, out, err = run_cli(capsys, "flow", "0,1", "--c=2,5", "--r", "1")
+    assert len(made) == 2
+    assert code == 3 and out == ""
+    assert err == "internal error: ArithmeticError: p_inv is not the inverse of p\n"
 
 
 def test_negative_parameters_with_equals_form(capsys):

@@ -1,6 +1,7 @@
 """Scalar, polynomial, and rational-function arithmetic."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction as F
 
@@ -183,6 +184,77 @@ def test_inexact_division_is_an_arithmetic_error():
         (X * X + 1).divexact(2 * X + F(1, 3))
     assert exact._int_divexact([1, 0, 1], [1, 1]) is None
     assert exact._int_divexact([-1, 0, 1], [1, 1]) == [-1, 1]
+
+
+# --- the content/primitive form against sympy ------------------------------------
+
+HUGE = 2**90
+CONTENTS = st.builds(
+    F,
+    st.integers(-HUGE, HUGE).filter(bool),
+    st.integers(1, HUGE),
+)
+# zero, constants and negative leading coefficients come from POLYS; scaling
+# by CONTENTS gives coefficients with large numerators and denominators
+WIDE = st.one_of(POLYS, st.builds(lambda p, c: p * c, POLYS, CONTENTS))
+WIDE_NONZERO = WIDE.filter(lambda p: not p.is_zero())
+SCALARS = st.one_of(st.integers(-5, 5), RATS, CONTENTS)
+
+
+def assert_canonical(p: Poly) -> None:
+    """ints primitive with a positive last entry (() for zero), and the
+    Fraction view round-trips to an equal Poly with the same hash."""
+    if p.is_zero():
+        assert p.ints == () and p.cont == 0 and p.coeffs == ()
+    else:
+        assert all(type(c) is int for c in p.ints)
+        assert math.gcd(*p.ints) == 1 and p.ints[-1] > 0 and p.cont != 0
+        assert p.coeffs[-1] != 0 and p.degree() == len(p.coeffs) - 1
+    assert all(c == p.cont * k for c, k in zip(p.coeffs, p.ints))
+    q = Poly(p.coeffs)
+    assert q == p and hash(q) == hash(p)
+    assert (q.cont, q.ints) == (p.cont, p.ints)
+
+
+def same(ours: Poly, theirs: sp.Poly) -> bool:
+    assert_canonical(ours)
+    return ours == from_sympy(theirs) and to_sympy(ours) == theirs
+
+
+@seed(20261019)
+@PROPERTY
+@given(WIDE, WIDE, SCALARS, st.integers(0, 3))
+def test_poly_ring_operations_match_sympy(a, b, s, k):
+    sa, sb = to_sympy(a), to_sympy(b)
+    assert same(a, sa) and same(b, sb)
+    assert same(a + b, sa + sb)
+    assert same(a - b, sa - sb)
+    assert same(-a, -sa)
+    assert same(a * b, sa * sb)
+    scalar = sp.Rational(F(s).numerator, F(s).denominator)
+    assert same(a * s, sa * scalar) and same(s * a, sa * scalar)
+    assert same(a ** k, sa ** k)
+    assert same(a.derivative(), sa.diff(SX))
+    point = F(s) + F(1, 3)
+    assert a(point) == F(str(sa.eval(sp.Rational(point.numerator, point.denominator))))
+    if not a.is_zero():
+        assert same(a.monic(), sa.monic())
+        assert a.leading() == F(str(sa.LC()))
+
+
+@seed(20261019)
+@PROPERTY
+@given(WIDE, WIDE_NONZERO)
+def test_poly_division_matches_sympy(a, b):
+    sa, sb = to_sympy(a), to_sympy(b)
+    q, r = divmod(a, b)
+    sq, sr = sp.div(sa, sb)
+    assert same(q, sq) and same(r, sr)
+    assert same(a // b, sq) and same(a % b, sr)
+    assert same((a * b).divexact(b), sa)
+    if not r.is_zero():
+        with pytest.raises(ArithmeticError, match="inexact polynomial division"):
+            a.divexact(b)
 
 
 # --- wronskian / log derivative / laurent ---------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 import sympy as sp
 
-from mkdv_a22.exact import ONE, X, Poly, RatFunc, RF_ZERO
+from mkdv_a22.exact import ONE, RF_ONE, RF_ZERO, X, Poly, RatFunc
 from mkdv_a22.generation import PolyPair, generate_multistep, sample_c
 from mkdv_a22.miura import (
     MiuraOper,
@@ -21,6 +21,7 @@ from mkdv_a22.miura import (
     miura_map,
     ricatti_check,
 )
+from mkdv_a22.psdo import PsDO
 
 
 def rf(num, den=None):
@@ -235,6 +236,32 @@ def test_d_miura_map_a1_against_sympy_variation():
         assert field.from_sympy(expr.coeff(sp.Derivative(f, (x, 2)))) == field.zero
         assert field.from_sympy(expr.coeff(sp.Derivative(f, x))) == field.from_sympy(to_sympy(u1, x))
         assert field.from_sympy(expr.coeff(f)) == field.from_sympy(to_sympy(u0, x))
+
+
+def rand_rf(rng):
+    num = Poly([F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))])
+    den = Poly([F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(0, 2))] + [F(1)])
+    return rf(num, den)
+
+
+def test_d_miura_map_a1_matches_full_three_product_sum():
+    # orders 1 and 0 formed directly equal the full product-rule sum of the
+    # three ordered triple products, whose d^2 terms cancel; random sum-zero
+    # potentials and tangents, some with a zero component
+    rng = random.Random(13)
+    for trial in range(12):
+        v1, v2 = rand_rf(rng), rand_rf(rng)
+        emb = MiuraOperA1(v1, v2, -v1 - v2)
+        t1, t2 = rand_rf(rng), rand_rf(rng) if trial % 3 else RF_ZERO
+        for tangent in ((t1, t2, -t1 - t2), (t2, -t1 - t2, t1)):
+            for i, order in ((0, (2, 1, 0)), (1, (0, 2, 1)), (2, (1, 0, 2))):
+                total = PsDO.zero()
+                for pos in range(3):
+                    pieces = [PsDO({1: RF_ONE, 0: -emb.vs[k]}) for k in order]
+                    pieces[pos] = PsDO({0: -tangent[order[pos]]})
+                    total = total + pieces[0] * pieces[1] * pieces[2]
+                assert (total.top() or 0) <= 1
+                assert d_miura_map_a1(i, emb, tangent) == (total.coeff(1), total.coeff(0))
 
 
 def test_gauge_collapse_of_scalar_maps():
