@@ -7,7 +7,8 @@ command lines produce byte-identical output.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
 error (an ``ArithmeticError`` or ``AssertionError`` raised inside the engine,
-such as a truncation instability or a failed internal guard).
+such as a truncation instability, a Wronskian step with no solution or a
+failed internal guard).
 
 Parameter lists that start with a minus sign must be attached with ``=``,
 as in ``--c=-3,2``: argparse reads ``--c -3,2`` as an option with no value.
@@ -51,8 +52,8 @@ def _parse_params(text: Optional[str], expected: int) -> tuple:
     return values
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A malformed command line; reported like any ``ValueError`` (exit 2)."""
 
 
 def _dump(data: dict) -> str:
@@ -210,9 +211,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

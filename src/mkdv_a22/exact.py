@@ -7,10 +7,10 @@ rationals.  Plain ints are accepted everywhere and promote automatically.
 the dozens here, so dense storage is the right trade), stored as a rational
 content times a primitive integer polynomial (Geddes, Czapor & Labahn,
 *Algorithms for Computer Algebra*, 1992, section 2.6): products, sums,
-derivatives and gcds run on integers and make one ``Fraction`` per
-operation, not one per coefficient.  ``RatFunc`` is a reduced quotient of
-two ``Poly`` with monic denominator.  Values are immutable and operations
-pure; everything is safe to share across threads.
+derivatives, pseudo-divisions and gcds run on integers and make one
+``Fraction`` per operation, not one per coefficient.  ``RatFunc`` is a
+reduced quotient of two ``Poly`` with monic denominator.  Values are
+immutable and operations pure; everything is safe to share across threads.
 
 Nothing in this module touches floating point.
 """
@@ -162,21 +162,13 @@ class Poly:
         o = Poly.lift(other)
         if o.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(o.coeffs)
-        if dq < 0:
+        k = len(self.ints) - len(o.ints) + 1
+        if k <= 0:
             return Poly(), self
-        inv = _one_over(o.leading())
-        quo = [Fraction(0)] * (dq + 1)
-        for k in range(dq, -1, -1):
-            top = rem[k + len(o.coeffs) - 1]
-            if top == 0:
-                continue
-            q = top * inv
-            quo[k] = q
-            for i, c in enumerate(o.coeffs):
-                rem[k + i] = rem[k + i] - q * c
-        return Poly(quo), Poly(rem)
+        # lc(B)^k A = Q B + R on the primitive parts; the contents rescale
+        quo, rem = _int_pdivmod(self.ints, o.ints)
+        scale = self.cont / o.ints[-1] ** k
+        return _normal(scale / o.cont, quo), _normal(scale, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -272,31 +264,34 @@ def _int_content(cs: Sequence[int]) -> int:
     return math.gcd(*cs) or 1
 
 
-def _int_prem(a: list, b: list) -> list:
-    """Pseudo-remainder of integer coefficient lists (ascending degree).
+def _int_pdivmod(a: Sequence[int], b: Sequence[int]) -> tuple:
+    """Pseudo-division of integer coefficient lists (ascending degree):
+    (q, r) with lc(b)**k * a = q*b + r, k = deg a - deg b + 1 and r of
+    length deg b (Knuth, TAOCP vol. 2, 4.6.1, Algorithm R).
 
-    The working remainder is stripped to its primitive part periodically;
-    the final primitive part is unaffected and intermediate coefficients
-    stay small when the degree gap is large.
+    Every step scales by lc(b), so k is fixed by the degrees alone; the
+    quotient coefficient found at degree m picks up the m later scalings.
     """
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    steps = 0
-    while len(a) - 1 >= db and a:
-        da = len(a) - 1
-        la = a[-1]
-        a = [c * lb for c in a]
-        shift = da - db
-        for i, c in enumerate(b):
-            a[shift + i] -= la * c
-        while a and a[-1] == 0:
-            a.pop()
-        steps += 1
-        if steps % 8 == 0 and a:
-            g = _int_content(a)
-            if g > 1:
-                a = [c // g for c in a]
-    return a
+    nb, lb = len(b), b[-1]
+    rem = list(a)
+    quo = [0] * (len(rem) - nb + 1)
+    for m in range(len(quo) - 1, -1, -1):
+        top = rem.pop()
+        quo[m] = top * lb**m
+        if lb != 1:
+            rem = [c * lb for c in rem]
+        if top:
+            for i in range(nb - 1):
+                rem[m + i] -= top * b[i]
+    return quo, rem
+
+
+def _int_prem(a: list, b: list) -> list:
+    """Pseudo-remainder of integer coefficient lists, without trailing zeros."""
+    rem = _int_pdivmod(a, b)[1]
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
 
 
 _HEU_GCD_TRIES = 6
@@ -589,24 +584,14 @@ def laurent_at_infinity(r: RatFunc, n: int) -> list:
     """First n coefficients B_1..B_n of the expansion sum B_k x**(-k) at
     x = infinity.
 
-    Any polynomial part (degree of num >= degree of den) is split off and
-    discarded; only the principal part is expanded.
+    Any polynomial part (degree of num >= degree of den) is discarded.  One
+    floor division gives them all: B_k is the coefficient of x**(n - k) in
+    (num * x**n) // den, where the polynomial part only reaches degrees >= n.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if r.is_zero():
-        return [Fraction(0)] * n
-    num, den = r.num, r.den
-    if num.degree() >= den.degree():
-        num = num % den
-    d = den.degree()
-    out: list = []
-    for k in range(1, n + 1):
-        val = num.coeff(d - k)
-        for j in range(1, k):
-            val = val - out[j - 1] * den.coeff(d - k + j)
-        out.append(val)
-    return out
+    quo = (r.num * X**n) // r.den
+    return [quo.coeff(n - k) for k in range(1, n + 1)]
 
 
 def _gauss_jordan(rows: list, ncols: int):

@@ -50,8 +50,8 @@ from .loop import CARTAN
 from .roots import durand_kerner
 
 
-class InfertileError(Exception):
-    """A Wronskian equation admits no polynomial solution."""
+class InfertileError(ArithmeticError):
+    """A Wronskian equation admits no polynomial solution (exit 3 in the CLI)."""
 
 
 class DegreeVector(NamedTuple):
@@ -166,10 +166,11 @@ def wronskian_solve(y: Poly, rhs: Poly, target_degree: int) -> Tuple[object, Pol
     y_base has the requested degree, its coefficient at x**deg y vanishes
     (adding a multiple of y does not change the Wronskian), and the constant
     a is pinned by the leading coefficients:
-    a = lc(y) * (target_degree - deg y) / lc(rhs).  The lower coefficients
-    come from one back-substitution (``_solve_below``).  Requires a degree
-    increasing configuration; raises InfertileError when the remaining
-    triangular system is inconsistent.
+    a = lc(y) * (target_degree - deg y) / lc(rhs).  All coefficients come
+    from one back-substitution (``_solve_below``), whose top row gives the
+    leading 1 exactly when deg rhs = target_degree + deg y - 1.  Requires a
+    degree increasing configuration; raises InfertileError when the
+    triangular system is inconsistent or leaves y_base short of that degree.
     """
     d = y.degree()
     if target_degree <= d:
@@ -177,11 +178,10 @@ def wronskian_solve(y: Poly, rhs: Poly, target_degree: int) -> Tuple[object, Pol
     if rhs.is_zero():
         raise ValueError("right-hand side must be nonzero")
     a = y.leading() * (target_degree - d) * _one_over(rhs.leading())
-    lead = Poly([0] * target_degree + [1])
-    coeffs = _solve_below(y, rhs * a - wronskian(y, lead), target_degree)
-    if coeffs is None:
+    coeffs = _solve_below(y, rhs * a, target_degree + 1)
+    if coeffs is None or not coeffs[-1]:
         raise InfertileError(f"no degree-{target_degree} solution with pinned index {d}")
-    return a, Poly(coeffs + [Fraction(1)])
+    return a, Poly(coeffs)
 
 
 def _step(pair: PolyPair, j: int, c) -> Tuple[PolyPair, object]:

@@ -7,7 +7,8 @@ orders (every pure differential operator is).  Products track the worst case
 
     floor(a*b) = max(floor(a) + top(b), floor(b) + top(a))
 
-so exactness claims never silently degrade.  Composition uses the
+so exactness claims never silently degrade.  Every coefficient of a
+composition comes from one Leibniz kernel, ``_product_coeff``, by the
 generalized Leibniz rule d^k u = sum_s C(k, s) u^(s) d^(k-s), valid for
 negative k with the usual falling-factorial binomials.
 
@@ -186,36 +187,24 @@ def _mul_floor(a: PsDO, b: PsDO) -> Optional[int]:
 def psdo_mul(a: PsDO, b: PsDO) -> PsDO:
     """Composition; exact at all orders above the tracked floor."""
     floor = _mul_floor(a, b)
-    out: Dict[int, RatFunc] = {}
-    a_items = sorted(a.terms.items())
-    for j, bj in b.terms.items():
-        derivs = [bj]  # grown lazily; derivatives are the expensive part
-        for i, ai in a_items:
-            if i >= 0:
-                s_max = i
-            elif bj.is_polynomial():
-                s_max = bj.num.degree()
-            elif floor is not None:
-                s_max = i + j - floor
-            else:
-                raise ValueError(
-                    "product of untruncated operators has an infinite expansion; "
-                    "truncate one factor first"
-                )
-            for s in range(s_max + 1):
-                order = i + j - s
-                if floor is not None and order < floor:
-                    break
-                while len(derivs) <= s:
-                    derivs.append(derivs[-1].derivative())
-                if derivs[s].is_zero():
-                    continue
-                val = ai * (derivs[s] * _binom(i, s))
-                if val.is_zero():
-                    continue
-                prev = out.get(order)
-                out[order] = val if prev is None else prev + val
-    return PsDO(out, floor)
+    if a.is_zero() or b.is_zero():
+        return PsDO({}, floor)
+    low = floor
+    if low is None:
+        # d^i b_j reaches down to order j for i >= 0, and to i + j - deg b_j
+        # for i < 0, which is finite for a polynomial b_j only
+        i = min(a.terms)
+        if i >= 0:
+            low = min(b.terms)
+        elif all(bj.is_polynomial() for bj in b.terms.values()):
+            low = min(i + j - bj.num.degree() for j, bj in b.terms.items())
+        else:
+            raise ValueError(
+                "product of untruncated operators has an infinite expansion; "
+                "truncate one factor first"
+            )
+    ca, cb = _derivative_lists(a), _derivative_lists(b)
+    return PsDO({n: _product_coeff(ca, cb, n) for n in range(low, a.top() + b.top() + 1)}, floor)
 
 
 def from_diffop3(op: DiffOp3) -> PsDO:
@@ -253,6 +242,11 @@ def _root_and_square(op: DiffOp3, depth: int) -> Tuple[PsDO, PsDO]:
     )
 
 
+def _derivative_lists(p: PsDO) -> Dict[int, List[RatFunc]]:
+    """The coefficients of p as the derivative lists ``_product_coeff`` grows."""
+    return {i: [c] for i, c in p.terms.items()}
+
+
 def _product_coeff(a: Dict[int, List[RatFunc]], b: Dict[int, List[RatFunc]], n: int) -> RatFunc:
     """Order-n coefficient of (sum a_i d^i)(sum b_j d^j), by the Leibniz rule;
     each value lists a coefficient followed by its cached derivatives."""
@@ -265,7 +259,8 @@ def _product_coeff(a: Dict[int, List[RatFunc]], b: Dict[int, List[RatFunc]], n: 
             while len(bj) <= s:
                 bj.append(bj[-1].derivative())
             if not bj[s].is_zero():
-                total = total + ai[0] * (bj[s] * _binom(i, s))
+                term = ai[0] * (bj[s] * _binom(i, s))
+                total = term if total.is_zero() else total + term
     return total
 
 
@@ -317,8 +312,7 @@ def kdv_field(op: DiffOp3, r: int) -> OpTangent:
     floor = _mul_floor(rs, lq)
     if floor is not None and floor > -2:
         raise ArithmeticError(f"R^s L^q is exact only down to order {floor}, residues need -2")
-    a = {i: [c] for i, c in rs.terms.items()}
-    b = {j: [c] for j, c in lq.terms.items()}  # derivative caches shared by both residues
+    a, b = _derivative_lists(rs), _derivative_lists(lq)  # shared by both residues
     x1 = _product_coeff(a, b, -1)
     x2 = _product_coeff(a, b, -2)
     dx1 = x1.derivative()

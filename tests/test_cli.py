@@ -1,6 +1,9 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import contextlib
+import io
 import json
+import random
 
 import pytest
 
@@ -146,6 +149,15 @@ def test_inexact_division_is_an_internal_error(capsys, monkeypatch):
     assert err == "internal error: ArithmeticError: inexact polynomial division\n"
 
 
+def test_infertile_step_is_an_internal_error(capsys, monkeypatch):
+    # along alternating words every Wronskian step has a solution, so a
+    # step without one is an engine fault, not a usage error
+    monkeypatch.setattr("mkdv_a22.generation._solve_below", lambda y, target, degree: None)
+    code, out, err = run_cli(capsys, "generate", "0,1", "--c=2,5")
+    assert code == 3 and out == ""
+    assert err == "internal error: InfertileError: no degree-1 solution with pinned index 0\n"
+
+
 def test_wrong_dressing_inverse_is_an_internal_error(capsys, monkeypatch):
     # the flow conjugates by E(g, j) and then E(-g, j); doubling the inverse
     # of the first factor breaks the per-factor check, an engine invariant
@@ -194,3 +206,69 @@ def test_flow_far_above_threshold(capsys):
     data = json.loads(out)
     assert data["field"] == {"num": [], "den": ["1"]}
     assert data["gamma"] == ["0", "0"] and data["residual_zero"] is True
+
+
+# --- bounded argv fuzz -----------------------------------------------------------
+
+FUZZ_COMMANDS = ("degrees", "generate", "flow", "miura", "kdv-check", "verify")
+FUZZ_WORDS = ["", "0", "1", "0,1", "1,0", "0,1,0", "1,0,1"]
+FUZZ_BAD_WORDS = ["0,0", "2", "a", "0,,1", "-1", "1;0", "0,1,2"]
+FUZZ_PARAMS = ["0", "1", "-2", "5/3", "-9/4", "1e1", " 2"]
+FUZZ_BAD_PARAMS = ["1/0", "x", ""]
+FUZZ_BAD_INTS = ["0", "-1", "3", "4", "6", "x", "1.5", ""]
+# the valid flow indices per word length that keep each kdv-check case cheap
+FUZZ_KDV_RS = {0: ["1", "5", "7"], 1: ["1", "5", "7"], 2: ["1", "5"], 3: ["1"]}
+
+
+def fuzz_argv(rng: random.Random) -> list:
+    """One command line over every subcommand: mostly well-formed, with
+    malformed words, parameters, flow indices and map indices mixed in."""
+
+    def pick(good, bad, p_bad):
+        return rng.choice(bad if rng.random() < p_bad else good)
+
+    command = rng.choice(FUZZ_COMMANDS)
+    if command == "verify":
+        argv = [command, pick(["degrees", "loop"], ["nope", ""], 0.15), "--samples", "1"]
+        argv += ["--seed", str(rng.randint(-3, 99))]
+    else:
+        word = pick(FUZZ_WORDS, FUZZ_BAD_WORDS, 0.2)
+        argv = [command, word] if word or rng.random() < 0.5 else [command]
+        length = len(word.split(",")) if word else 0
+        if command != "degrees":
+            n = max(length + (rng.choice([-1, 1]) if rng.random() < 0.1 else 0), 0)
+            params = [pick(FUZZ_PARAMS, FUZZ_BAD_PARAMS, 0.05) for _ in range(n)]
+            argv.append("--c=" + ",".join(params))
+        if command == "flow" and rng.random() < 0.95:
+            argv += ["--r", pick(["1", "5", "7", "11", "13"], FUZZ_BAD_INTS, 0.2)]
+        if command == "kdv-check" and rng.random() < 0.95:
+            argv += ["--r", pick(FUZZ_KDV_RS[length], FUZZ_BAD_INTS, 0.2)]
+        if command == "kdv-check" and rng.random() < 0.7:
+            argv += ["--i", pick(["0", "1", "2"], ["3", "-1", "x"], 0.2)]
+    if rng.random() < 0.3:
+        argv.append("--json")
+    if rng.random() < 0.03:
+        argv.append("--bogus")
+    return argv
+
+
+def run_fuzz_case(argv: list) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            assert exc.code == 2, argv
+            code = "argparse"
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_argv_fuzz_exits_cleanly_and_deterministically():
+    rng = random.Random(20261020)
+    cases = [fuzz_argv(rng) for _ in range(150)]
+    first = [run_fuzz_case(argv) for argv in cases]
+    for argv, (code, _, _) in zip(cases, first):
+        assert code in (0, 1, 2, 3, "argparse"), argv
+    assert {argv[0] for argv in cases} == set(FUZZ_COMMANDS)
+    assert {code for code, _, _ in first} >= {0, 2, "argparse"}
+    assert [run_fuzz_case(argv) for argv in cases] == first

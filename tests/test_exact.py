@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 import sympy as sp
-from hypothesis import HealthCheck, given, seed, settings, strategies as st
+from hypothesis import HealthCheck, example, given, seed, settings, strategies as st
 
 from mkdv_a22 import exact
 from mkdv_a22.cli import main
@@ -257,6 +257,55 @@ def test_poly_division_matches_sympy(a, b):
             a.divexact(b)
 
 
+# --- pseudo-division: large degree gaps and leading coefficients ---------------------
+
+@st.composite
+def gapped_pairs(draw):
+    """(a, b) with deg a >= deg b + 8 and a primitive part of b whose leading
+    coefficient is not 1, so the pseudo-division scales by lc(b)**k, k >= 9."""
+    low = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=3))
+    b = Poly([*low, draw(st.integers(2, 40))]) * draw(st.one_of(RATS, CONTENTS))
+    size = b.degree() + draw(st.integers(9, 13))
+    cs = draw(st.lists(RATS, min_size=size, max_size=size))
+    a = Poly([*cs[:-1], cs[-1] or 1]) * draw(st.one_of(st.just(1), CONTENTS))
+    return a, b
+
+
+GAPPED = gapped_pairs().filter(lambda ab: not ab[1].is_zero() and ab[1].ints[-1] != 1)
+
+
+@seed(20261020)
+@settings(PROPERTY, max_examples=30)
+@given(GAPPED)
+@example((X**12 + 5, X * X * 3 + 1))  # every other step meets a zero top
+def test_pseudo_division_with_large_gap_matches_sympy(pair):
+    a, b = pair
+    sa, sb = to_sympy(a), to_sympy(b)
+    sq, sr = sp.div(sa, sb)
+    q, r = divmod(a, b)
+    assert same(q, sq) and same(r, sr)
+    assert same(a // b, sq) and same(a % b, sr)
+    # the kernel against sympy's pdiv: lc(b)**(deg a - deg b + 1) * a = q*b + r
+    quo, rem = exact._int_pdivmod(a.ints, b.ints)
+    assert len(rem) == b.degree()
+    sq, sr = sp.pdiv(sp.Poly(a.ints[::-1], SX), sp.Poly(b.ints[::-1], SX))
+    assert sp.Poly(quo[::-1], SX) == sq and sp.Poly(rem[::-1] or [0], SX) == sr
+
+
+def test_prs_gcd_with_large_gap_matches_sympy(gcd_path):
+    path, steps = gcd_path
+
+    @seed(20261020)
+    @settings(PROPERTY, max_examples=30)
+    @given(GAPPED, SMALL)
+    def check(pair, g):
+        a, b = pair[0] * g, pair[1] * g
+        assert poly_gcd(a, b) == from_sympy(sp.gcd(to_sympy(a), to_sympy(b)))
+
+    check()
+    assert bool(steps) == (path == "prs-fallback")
+
+
 # --- wronskian / log derivative / laurent ---------------------------------------
 
 def test_wronskian_values():
@@ -316,6 +365,19 @@ def test_laurent_of_log_derivative_leads_with_degree():
         p = (rand_poly(rng, d - 1) + X ** d).monic()
         B = laurent_at_infinity(log_derivative(p), 1)
         assert B[0] == d
+
+
+@seed(20261020)
+@settings(PROPERTY, max_examples=20)
+@given(WIDE, WIDE_NONZERO, st.integers(0, 5))
+@example(Poly(), X + 1, 3)  # zero
+@example(X**4 * F(3, 7) + 2, X * X * 5 - 1, 4)  # a polynomial part
+@example(X, X * X + 1, 0)  # n = 0
+def test_laurent_matches_sympy_series_at_infinity(num, den, n):
+    got = laurent_at_infinity(RatFunc(num, den), n)
+    expr = to_sympy(num).as_expr() / to_sympy(den).as_expr()
+    series = sp.sympify(sp.series(expr, SX, sp.oo, n + 1).removeO() if n else 0)
+    assert got == [F(str(series.coeff(SX, -k))) for k in range(1, n + 1)]
 
 
 # --- linear solving -------------------------------------------------------------

@@ -96,6 +96,9 @@ def test_wronskian_solve_infertile():
     # x-coefficient equation 0 = 1
     with pytest.raises(InfertileError):
         wronskian_solve(X, X, 2)
+    # deg rhs below target_degree + deg y - 1: only a lower-degree b exists
+    with pytest.raises(InfertileError):
+        wronskian_solve(ONE, ONE, 2)
 
 
 def _dense_solve_below(y, target, degree):

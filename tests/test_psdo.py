@@ -6,6 +6,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+import sympy as sp
+from hypothesis import given, seed, settings, strategies as st
 
 from mkdv_a22.cli import main
 from mkdv_a22.exact import ONE, X, Poly, RatFunc
@@ -69,6 +71,46 @@ def test_floor_tracking_worst_case():
     assert prod.floor == -1 + 2
     prod2 = psdo_mul(b, a)
     assert prod2.floor == -1 + 2
+
+
+QX_FIELD, QX = sp.field("x", sp.QQ)
+COEFFS = st.builds(
+    lambda num, den: RatFunc(Poly(num), Poly([*den, 1])),
+    st.lists(st.fractions(-9, 9, max_denominator=4), min_size=1, max_size=3),
+    st.lists(st.integers(-4, 4), max_size=1),
+)
+DIFF_OPS = st.dictionaries(st.integers(0, 3), COEFFS, max_size=3).map(PsDO)
+
+
+def apply_to(op: PsDO, jet: dict) -> dict:
+    """op applied to sum_k jet[k] * f^(k) for an undefined f(x), with the
+    coefficients in sympy's field QQ(x) and d/dx f^(k) = f^(k+1)."""
+    out: dict = {}
+    for i, c in op.terms.items():
+        num, den = (
+            sum((sp.Rational(str(k)) * QX**e for e, k in enumerate(p.coeffs)), QX_FIELD(0))
+            for p in (c.num, c.den)
+        )
+        cur = jet
+        for _ in range(i):
+            nxt: dict = {}
+            for k, v in cur.items():
+                nxt[k] = nxt.get(k, 0) + v.diff(QX)
+                nxt[k + 1] = nxt.get(k + 1, 0) + v
+            cur = nxt
+        for k, v in cur.items():
+            out[k] = out.get(k, 0) + num / den * v
+    return {k: v for k, v in out.items() if v}
+
+
+@seed(20261020)
+@settings(max_examples=25, deadline=None, database=None)
+@given(DIFF_OPS, DIFF_OPS)
+def test_psdo_mul_matches_sympy_composition(a, b):
+    prod = psdo_mul(a, b)
+    assert prod.floor is None
+    f = {0: QX_FIELD(1)}
+    assert apply_to(prod, f) == apply_to(a, apply_to(b, f))
 
 
 # --- cube roots and fractional powers ------------------------------------------------
