@@ -480,6 +480,11 @@ class RatFunc:
 
     def __add__(self, other):
         o = RatFunc.lift(other)
+        # both operands are in canonical form, so a zero one needs no work
+        if o.num.is_zero():
+            return self
+        if self.num.is_zero():
+            return o
         if self.den == o.den:
             return RatFunc(self.num + o.num, self.den)
         _, da, db = _gcd_cofactors(self.den, o.den)

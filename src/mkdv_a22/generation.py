@@ -20,7 +20,10 @@ solution with vanishing coefficient at the old degree.
 In the monomial basis each Wronskian equation is triangular: Wr(y, x**i)
 has top term (i - deg y) lc(y) x**(i + deg y - 1).  One back-substitution
 kernel (``_solve_below``) therefore serves a generation step, the
-differentiated step of ``parameter_derivatives`` and ``is_fertile``.
+differentiated step of ``parameter_derivatives`` and ``is_fertile``.  It is
+fraction-free: it runs on the primitive integer parts of y and the target
+with one integer residual over one common denominator, and returns the
+solution as a ``Poly`` whose rational content is the only Fraction it makes.
 
 Everything is exact over the rationals, including the parameter derivatives
 of a run (``parameter_derivatives``); the only numerics live in
@@ -29,6 +32,7 @@ of a run (``parameter_derivatives``); the only numerics live in
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +42,7 @@ from .exact import (
     ONE,
     Poly,
     RatFunc,
+    _normal,
     _one_over,
     log_derivative,
     poly_gcd,
@@ -129,35 +134,59 @@ def wronskian_rhs(pair: PolyPair, j: int) -> Poly:
     return pair.component(i) ** (-CARTAN.a[i][j])
 
 
-def _solve_below(y: Poly, target: Poly, degree: int) -> Optional[List[Fraction]]:
-    """Coefficients b_0 .. b_{degree-1} of the b with Wr(y, b) = target and
-    b_{deg y} = 0, or None when there is none.
+def _solve_below(y: Poly, target: Poly, degree: int) -> Optional[Poly]:
+    """The b of degree < ``degree`` with Wr(y, b) = target and b_{deg y} = 0,
+    or None when there is none.
 
     Wr(y, x**i) = sum_k (i - k) y_k x**(k + i - 1) has top term
     (i - d) lc(y) x**(i + d - 1), d = deg y, so the system is triangular from
-    the top: running i from degree - 1 down to 0, row i + d - 1 fixes
-    b_i = resid / ((i - d) lc(y)) and b_i Wr(y, x**i) leaves the residual.
-    The kernel of Wr(y, .) is spanned by y, so b_d stays 0 and the solution
-    is unique.  What remains of the residual sits in rows that fix no
-    coefficient; it must vanish.
+    the top: running i from degree - 1 down to 0, row i + d - 1 fixes b_i and
+    b_i Wr(y, x**i) leaves the residual.  The kernel of Wr(y, .) is spanned
+    by y, so b_d stays 0 and the solution is unique.  What remains of the
+    residual sits in rows that fix no coefficient; it must vanish.
+
+    The elimination is fraction-free (Bareiss, Math. Comp. 22, 1968) on the
+    primitive integer parts Y = y.ints and T = target.ints: the residual is
+    R/D with an integer list R (starting at T) and one common denominator D.
+    Step i divides top = R[i + d - 1] and the pivot (i - d) Y_d by their
+    gcd to t/s with s > 0, scales R and D by s, subtracts t Wr(Y, x**i) from
+    R and records t and D, so that b_i = t/D in the solution of
+    Wr(Y, b) = T.  The contents come back in one Fraction at the end:
+    b = target.cont / y.cont * sum (t_i/D_i) x**i.
     """
     if y.is_zero():  # Wr(0, b) = 0
-        return None if target.coeffs else [Fraction(0)] * degree
-    d = y.degree()
-    lc = y.leading()
-    resid = list(target.coeffs)
+        return None if target.ints else Poly()
+    ys = y.ints
+    d = len(ys) - 1
+    lead = ys[-1]
+    resid = list(target.ints)
     resid += [0] * (degree + d - 1 - len(resid))
-    coeffs = [Fraction(0)] * degree
+    den = 1
+    steps = []
     for i in range(degree - 1, -1, -1):
         if i == d:
             continue
-        b = resid[i + d - 1] * _one_over((i - d) * lc)
-        if b:
-            coeffs[i] = b
-            for k, yk in enumerate(y.coeffs):
-                if k != i:
-                    resid[k + i - 1] -= (i - k) * yk * b
-    return None if any(resid) else coeffs
+        top = resid[i + d - 1]
+        if not top:
+            continue
+        pivot = (i - d) * lead
+        g = math.gcd(top, pivot)
+        s, t = pivot // g, top // g
+        if s < 0:
+            s, t = -s, -t
+        if s != 1:
+            resid = [s * c for c in resid]
+            den *= s
+        for k, yk in enumerate(ys):
+            if k != i:
+                resid[k + i - 1] -= (i - k) * yk * t
+        steps.append((i, t, den))
+    if any(resid):
+        return None
+    out = [0] * degree
+    for i, t, den_i in steps:
+        out[i] = t * (den // den_i)
+    return _normal(target.cont / (y.cont * den), out)
 
 
 def wronskian_solve(y: Poly, rhs: Poly, target_degree: int) -> Tuple[object, Poly]:
@@ -166,11 +195,12 @@ def wronskian_solve(y: Poly, rhs: Poly, target_degree: int) -> Tuple[object, Pol
     y_base has the requested degree, its coefficient at x**deg y vanishes
     (adding a multiple of y does not change the Wronskian), and the constant
     a is pinned by the leading coefficients:
-    a = lc(y) * (target_degree - deg y) / lc(rhs).  All coefficients come
-    from one back-substitution (``_solve_below``), whose top row gives the
-    leading 1 exactly when deg rhs = target_degree + deg y - 1.  Requires a
-    degree increasing configuration; raises InfertileError when the
-    triangular system is inconsistent or leaves y_base short of that degree.
+    a = lc(y) * (target_degree - deg y) / lc(rhs).  y_base is the ``Poly``
+    of one fraction-free back-substitution (``_solve_below``), whose top row
+    gives the leading 1 exactly when deg rhs = target_degree + deg y - 1.
+    Requires a degree increasing configuration; raises InfertileError when
+    the triangular system is inconsistent or leaves y_base short of that
+    degree.
     """
     d = y.degree()
     if target_degree <= d:
@@ -178,10 +208,10 @@ def wronskian_solve(y: Poly, rhs: Poly, target_degree: int) -> Tuple[object, Pol
     if rhs.is_zero():
         raise ValueError("right-hand side must be nonzero")
     a = y.leading() * (target_degree - d) * _one_over(rhs.leading())
-    coeffs = _solve_below(y, rhs * a, target_degree + 1)
-    if coeffs is None or not coeffs[-1]:
+    base = _solve_below(y, rhs * a, target_degree + 1)
+    if base is None or base.degree() != target_degree:
         raise InfertileError(f"no degree-{target_degree} solution with pinned index {d}")
-    return a, Poly(coeffs)
+    return a, base
 
 
 def _step(pair: PolyPair, j: int, c) -> Tuple[PolyPair, object]:
@@ -264,8 +294,9 @@ def parameter_derivatives(trace: GenerationTrace) -> List[PolyPair]:
         Wr(y_j, base') = a*rhs' - Wr(y_j', base)
 
     is the same triangular system as the step itself (deg base' < deg base,
-    vanishing coefficient at x**deg y_j), solved by the same back-substitution
-    with a new right-hand side, and y_j' becomes base' + c_l*y_j'.
+    vanishing coefficient at x**deg y_j), solved by the same fraction-free
+    back-substitution with a new right-hand side; its ``Poly`` base' gives
+    y_j' = base' + c_l*y_j'.
     """
     derivs: List[PolyPair] = []
     for l, j in enumerate(trace.J):
@@ -278,10 +309,10 @@ def parameter_derivatives(trace: GenerationTrace) -> List[PolyPair]:
         rhs_factor = old.component(i) ** (n - 1) * n
         for k, dy in enumerate(derivs):
             target = rhs_factor * dy.component(i) * a - wronskian(dy.component(j), base)
-            coeffs = _solve_below(y, target, base.degree())
-            if coeffs is None:
+            base_dot = _solve_below(y, target, base.degree())
+            if base_dot is None:
                 raise AssertionError("differentiated Wronskian step has no solution")
-            derivs[k] = dy.with_component(j, Poly(coeffs) + dy.component(j) * c)
+            derivs[k] = dy.with_component(j, base_dot + dy.component(j) * c)
         derivs.append(PolyPair(Poly(), Poly()).with_component(j, y))
     return derivs
 
@@ -360,4 +391,4 @@ def sample_c(j_seq: Sequence[int], rng: random.Random) -> Tuple[Fraction, ...]:
             continue
         if all(is_generic(p) for p in trace.pairs):
             return c
-    raise RuntimeError(f"could not sample parameters for {js} in 50 tries")
+    raise ArithmeticError(f"could not sample parameters for {js} in 50 tries")

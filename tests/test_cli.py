@@ -9,6 +9,7 @@ import pytest
 
 from mkdv_a22 import flows
 from mkdv_a22.cli import main
+from mkdv_a22.generation import InfertileError
 
 
 def run_cli(capsys, *argv):
@@ -156,6 +157,20 @@ def test_infertile_step_is_an_internal_error(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "generate", "0,1", "--c=2,5")
     assert code == 3 and out == ""
     assert err == "internal error: InfertileError: no degree-1 solution with pinned index 0\n"
+
+
+def test_exhausted_parameter_sampling_is_an_internal_error(capsys, monkeypatch):
+    # sample_c rejects every infertile draw; when all 50 are rejected the
+    # verify suite cannot run, an engine fault rather than a traceback
+    def infertile(j_seq, c):
+        raise InfertileError("no solution")
+
+    monkeypatch.setattr("mkdv_a22.generation.generate_multistep", infertile)
+    code, out, err = run_cli(capsys, "verify", "generation", "--samples", "1")
+    assert code == 3 and out == ""
+    assert err == (
+        "internal error: ArithmeticError: could not sample parameters for (0,) in 50 tries\n"
+    )
 
 
 def test_wrong_dressing_inverse_is_an_internal_error(capsys, monkeypatch):

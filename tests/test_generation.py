@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 import sympy as sp
+from hypothesis import given, seed, settings, strategies as st
 
 from mkdv_a22.exact import ONE, X, Poly, solve_linear, wronskian
 from mkdv_a22.generation import (
@@ -141,15 +142,72 @@ def test_back_substitution_matches_dense_oracle():
             unsolvable += 1
             continue
         solvable += 1
-        b = Poly(got)
-        assert len(got) == degree and b.coeff(d) == 0
-        assert wronskian(y, b) == target
+        assert got == Poly(want), (y, target, degree)
+        assert got.degree() < degree and got.coeff(d) == 0
+        assert wronskian(y, got) == target
         if case % 3 == 0:
-            assert b == b0 - y * (b0.coeff(d) / F(lead))
+            assert got == b0 - y * (b0.coeff(d) / F(lead))
     assert solvable > 50 and unsolvable > 50
     # Wr(0, b) = 0: solvable exactly when the target is zero
-    assert _solve_below(Poly(), Poly(), 2) == _dense_solve_below(Poly(), Poly(), 2) == [0, 0]
+    assert _dense_solve_below(Poly(), Poly(), 2) == [0, 0]
+    assert _solve_below(Poly(), Poly(), 2) == Poly(_dense_solve_below(Poly(), Poly(), 2)) == Poly()
     assert _solve_below(Poly(), ONE, 2) is _dense_solve_below(Poly(), ONE, 2) is None
+
+
+SMALL_RATS = st.fractions(min_value=-30, max_value=30, max_denominator=7)
+# rational contents other than +-1, with numerators and denominators up to
+# 2**40, so the integer residual meets large scale factors
+CONTENTS = st.builds(F, st.integers(-(2**40), 2**40).filter(bool), st.integers(2, 2**40)).filter(
+    lambda c: abs(c) != 1
+)
+
+
+@st.composite
+def triangular_systems(draw):
+    """(y, target, degree, b) with y zero one time in ten, otherwise of
+    degree 0..5 with a leading integer 2..40 times a rational content.  The
+    target is a rational content times Wr(y, b0) for a random b0 of degree
+    < ``degree``, that plus one monomial, a random polynomial or zero.  For
+    the first kind b = content * b0 solves the system, else b is None."""
+    if draw(st.integers(0, 9)) == 0:
+        y = Poly()
+    else:
+        d = draw(st.integers(0, 5))
+        low = draw(st.lists(st.integers(-30, 30), min_size=d, max_size=d))
+        y = Poly([*low, draw(st.integers(2, 40))]) * draw(CONTENTS)
+    degree = draw(st.integers(0, 8))
+    b0 = Poly(draw(st.lists(SMALL_RATS, min_size=degree, max_size=degree)))
+    kind = draw(st.sampled_from(["wronskian", "plus monomial", "random", "zero"]))
+    rows = degree + max(y.degree(), 0)
+    target = Poly()
+    if kind == "wronskian":
+        target = wronskian(y, b0)
+    elif kind == "plus monomial":
+        target = wronskian(y, b0) + X ** draw(st.integers(0, rows))
+    elif kind == "random":
+        target = Poly(draw(st.lists(SMALL_RATS, min_size=1, max_size=rows + 1)))
+    scale = draw(CONTENTS)
+    return y, target * scale, degree, b0 * scale if kind == "wronskian" else None
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None, database=None)
+@given(triangular_systems())
+def test_back_substitution_property_against_dense_oracle(system):
+    y, target, degree, b = system
+    got = _solve_below(y, target, degree)
+    want = _dense_solve_below(y, target, degree)
+    assert (got is None) == (want is None)
+    if b is not None:  # b solves the system, so a solution exists
+        assert got is not None
+    if got is None:
+        return
+    assert got == Poly(want)
+    assert got.degree() < degree and got.coeff(y.degree()) == 0
+    assert wronskian(y, got) == target
+    if b is not None and not y.is_zero():
+        # the solution is unique once the coefficient at x**deg y is pinned
+        assert got == b - y * (b.coeff(y.degree()) / y.leading())
 
 
 def test_generate_step_examples():

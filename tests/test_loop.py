@@ -8,6 +8,7 @@ import pytest
 from mkdv_a22.exact import ONE, X, Poly, RatFunc
 from mkdv_a22.loop import (
     CARTAN,
+    REACH,
     LaurentMat,
     centralizer_power,
     conjugate,
@@ -201,3 +202,35 @@ def test_graded_conjugate_checks_inverse():
     for d in (-1, 0, 1):
         with pytest.raises(ArithmeticError, match="not the inverse"):
             conjugate(p, lambda_power(1), p, range(d, d + 1))
+
+
+def rand_homogeneous(rng, delta):
+    """Random matrix of principal degree delta: 3e + i - j = delta fixes e."""
+    return LaurentMat(
+        {
+            (i, j, (delta - i + j) // 3): rand_ratfunc(rng)
+            for i in range(3)
+            for j in range(3)
+            if (delta - i + j) % 3 == 0 and rng.random() < 0.8
+        }
+    )
+
+
+def test_dressing_conjugation_lowers_degree_by_at_most_reach():
+    # mkdv_field keeps only the degrees the remaining factors can still lower
+    # to 0; that is sound only if E(g, j) m E(-g, j) has no degree above that
+    # of m and none below it by more than REACH[j]
+    rng = random.Random(47)
+    deepest = {0: 0, 1: 0}
+    for case in range(120):
+        j = case % 2
+        delta = rng.randint(-7, 7)
+        g = rand_ratfunc(rng)
+        m = rand_homogeneous(rng, delta)
+        full = exp_dressing(g, j) * m * exp_dressing(-g, j)
+        support = grade_support(full)
+        assert all(delta - REACH[j] <= k <= delta for k in support), (j, delta, support)
+        if support:
+            deepest[j] = max(deepest[j], delta - support[0])
+    # the bound is attained, so REACH is no looser than it must be
+    assert deepest == REACH
