@@ -9,8 +9,10 @@ content times a primitive integer polynomial (Geddes, Czapor & Labahn,
 *Algorithms for Computer Algebra*, 1992, section 2.6): products, sums,
 derivatives, pseudo-divisions and gcds run on integers and make one
 ``Fraction`` per operation, not one per coefficient.  ``RatFunc`` is a
-reduced quotient of two ``Poly`` with monic denominator.  Values are
-immutable and operations pure; everything is safe to share across threads.
+reduced quotient of two ``Poly`` with monic denominator; a gcd runs only
+where a factor can cancel (Henrici's rules for sums and products).  Values
+are immutable and operations pure; everything is safe to share across
+threads.
 
 Nothing in this module touches floating point.
 """
@@ -487,8 +489,14 @@ class RatFunc:
             return o
         if self.den == o.den:
             return RatFunc(self.num + o.num, self.den)
-        _, da, db = _gcd_cofactors(self.den, o.den)
-        return RatFunc(self.num * db + o.num * da, self.den * db)
+        # Henrici: with g = gcd(b, d), b = g*b1 and d = g*d1, the numerator
+        # t = a*d1 + c*b1 is prime to b1*d1, so only gcd(t, g) can cancel
+        g, b1, d1 = _gcd_cofactors(self.den, o.den)
+        t = self.num * d1 + o.num * b1
+        if g.degree() == 0:
+            return RatFunc._raw(t, self.den * d1)
+        _, t, g = _gcd_cofactors(t, g)
+        return RatFunc._raw(t, b1 * d1 * g)
 
     __radd__ = __add__
 
@@ -510,6 +518,11 @@ class RatFunc:
         o = RatFunc.lift(other)
         if self.num.is_zero() or o.num.is_zero():
             return RF_ZERO
+        # a constant factor is a scalar multiple: nothing can cancel
+        if o.den.degree() == 0 and o.num.degree() == 0:
+            return RatFunc._raw(self.num * o.num.cont, self.den)
+        if self.den.degree() == 0 and self.num.degree() == 0:
+            return RatFunc._raw(o.num * self.num.cont, o.den)
         _, n1, d2 = _gcd_cofactors(self.num, o.den)
         _, n2, d1 = _gcd_cofactors(o.num, self.den)
         # both factors are reduced and the cross gcds are cancelled, so the
@@ -540,9 +553,12 @@ class RatFunc:
             return RatFunc(n.derivative())
         dp = d.derivative()
         # cancel the repeated part of d up front: with d = g*a, d' = g*b the
-        # quotient rule collapses to (n'a - nb)/(d*a), much smaller than /d^2
+        # quotient rule collapses to (n'a - nb)/(d*a), much smaller than /d^2,
+        # and already reduced: a prime p of a divides d exactly e >= 1 times
+        # and not n, while b = e*p'*(d/p^e)/(g/p^(e-1)) mod p is prime to p
+        # (characteristic 0), so p does not divide n'a - nb; a = d/g is monic
         _, a, b = _gcd_cofactors(d, dp)
-        return RatFunc(n.derivative() * a - n * b, d * a)
+        return RatFunc._raw(n.derivative() * a - n * b, d * a)
 
     def __call__(self, x):
         return self.num(x) / self.den(x)

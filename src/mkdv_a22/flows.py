@@ -17,16 +17,18 @@ Family tangents are the exact partial derivatives of the attached oper:
 v = (2 ln y1 - ln y0)' depends only on the final pair, whose parameter
 derivatives come from differentiating each Wronskian step of one generation
 run.  Matching the flow value against the span of the tangents is then one
-exact linear solve after clearing denominators.
+exact linear solve after clearing denominators: its rows are eliminated in
+order until the rank reaches the number of tangents, and one polynomial
+identity checks the unique solution against all of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .exact import RatFunc, poly_lcm, rat_to_str, ratfunc_to_json, solve_linear
+from .exact import Poly, RatFunc, poly_lcm, rat_to_str, ratfunc_to_json, solve_linear
 from .generation import (
     GenerationTrace,
     check_basic,
@@ -151,10 +153,13 @@ def decompose_flow(field: RatFunc, tangents: Sequence[RatFunc]) -> DecomposeResu
     """Exact scalars gamma with field = sum gamma_i * tangent_i, if they exist.
 
     Denominators are cleared to a single polynomial identity whose
-    x-coefficients give a linear system for gamma over the rationals.  When
-    the system is inconsistent the returned gamma is the best-effort solution
-    of its consistent rows and the witness records the first failing
-    x-coefficient of the residual.
+    x-coefficients give a linear system for gamma over the rationals.  Its
+    rows are eliminated in order until the rank reaches m = len(tangents);
+    gamma is then unique, and one polynomial check of the whole identity
+    confirms it.  Otherwise the whole system is solved: when it is
+    inconsistent the returned gamma is the best-effort solution of its
+    consistent rows and the witness records the first failing x-coefficient
+    of the residual.
     """
     if not tangents:
         raise ValueError("need at least one tangent")
@@ -164,15 +169,25 @@ def decompose_flow(field: RatFunc, tangents: Sequence[RatFunc]) -> DecomposeResu
     target = field.num * den.divexact(field.den)
     cleared = [t.num * den.divexact(t.den) for t in tangents]
     ncoeffs = max([target.degree() + 1] + [p.degree() + 1 for p in cleared] + [1])
-    rows = [[p.coeff(k) for p in cleared] for k in range(ncoeffs)]
-    rhs = [target.coeff(k) for k in range(ncoeffs)]
+
+    def row(k: int) -> list:
+        return [p.coeff(k) for p in cleared] + [target.coeff(k)]
+
+    def residual(gamma) -> Poly:
+        resid = target
+        for g, p in zip(gamma, cleared):
+            resid = resid - p * g
+        return resid
+
+    gamma = _leading_solution(map(row, range(ncoeffs)), len(cleared))
+    if gamma is not None and residual(gamma).is_zero():
+        return DecomposeResult(gamma, True)
+    rows = [row(k) for k in range(ncoeffs)]
+    rhs = [r.pop() for r in rows]
     sol = solve_linear(rows, rhs)
     if sol is not None:
         gamma = tuple(Fraction(g) for g in sol)
-        residual = field
-        for g, t in zip(gamma, tangents):
-            residual = residual - t * g
-        if not residual.is_zero():
+        if not residual(gamma).is_zero():
             raise AssertionError("consistent system left a nonzero residual")
         return DecomposeResult(gamma, True)
     # inconsistent: solve the consistent prefix for a best-effort gamma
@@ -181,13 +196,42 @@ def decompose_flow(field: RatFunc, tangents: Sequence[RatFunc]) -> DecomposeResu
         sol = solve_linear(rows[:keep], rhs[:keep])
         if sol is not None:
             gamma = tuple(Fraction(g) for g in sol)
-            resid = target
-            for g, p in zip(gamma, cleared):
-                resid = resid - p * g
+            resid = residual(gamma)
             k = next(i for i, cc in enumerate(resid.coeffs) if cc != 0)
             witness = (k, Fraction(resid.coeff(k)))
             return DecomposeResult(gamma, False, witness)
     return DecomposeResult(tuple(Fraction(0) for _ in tangents), False, witness)
+
+
+def _leading_solution(rows: Iterable[list], m: int) -> Optional[Tuple[Fraction, ...]]:
+    """The solution of the first augmented rows whose left sides reach rank m
+    (unique there), or None when those rows are inconsistent or the rank
+    stays below m.  Gauss-Jordan one row at a time: each new row is reduced
+    by the pivot rows so far, then clears its own pivot column from them."""
+    pivots: List[Tuple[int, list]] = []
+    for r in rows:
+        for col, pr in pivots:
+            f = r[col]
+            if f:
+                r = [a - f * b for a, b in zip(r, pr)]
+        col = next((c for c in range(m) if r[c]), None)
+        if col is None:
+            if r[m]:
+                return None
+            continue
+        lead = r[col]
+        r = [a / lead for a in r]
+        for i, (c, pr) in enumerate(pivots):
+            f = pr[col]
+            if f:
+                pivots[i] = (c, [a - f * b for a, b in zip(pr, r)])
+        pivots.append((col, r))
+        if len(pivots) == m:
+            gamma = [Fraction(0)] * m
+            for c, pr in pivots:
+                gamma[c] = pr[m]
+            return tuple(gamma)
+    return None
 
 
 def vanishing_threshold(j_seq: Sequence[int], r: int) -> bool:

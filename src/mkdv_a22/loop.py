@@ -18,11 +18,12 @@ coming from the embedding of the twisted algebra that sends f0 to the lowest
 root vector and f1 to twice the sum of the two remaining lowering generators.
 
 ``conjugate(p, m, p_inv, degrees)`` keeps the part of p * m * p_inv in the
-principal degrees of the range ``degrees``.  No dressing factor has a
-positive degree, and conjugating by exp(g*f_j) lowers a degree by at most
-``REACH[j]``, so the flow layer conjugates L1**r by one factor at a time and
-keeps only the degrees the remaining factors can still lower to zero; the
-cost does not grow with r.
+principal degrees of the range ``degrees``; degrees add under
+multiplication, so it forms only the products that can land there.  No
+dressing factor has a positive degree, and conjugating by exp(g*f_j) lowers
+a degree by at most ``REACH[j]``, so the flow layer conjugates L1**r by one
+factor at a time and keeps only the degrees the remaining factors can still
+lower to zero; the cost does not grow with r.
 """
 
 from __future__ import annotations
@@ -111,21 +112,7 @@ class LaurentMat:
 
     def __mul__(self, other):
         if isinstance(other, LaurentMat):
-            out: Dict[Key, RatFunc] = {}
-            cols: Dict[tuple, list] = {}
-            for (k, j, e2), v2 in other.terms.items():
-                cols.setdefault(k, []).append((j, e2, v2))
-            for (i, k, e1), v1 in self.terms.items():
-                for j, e2, v2 in cols.get(k, ()):
-                    key = (i, j, e1 + e2)
-                    prod = v1 * v2
-                    s = out.get(key)
-                    s = prod if s is None else s + prod
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
-            return LaurentMat(out)
+            return _product(self, other, None)
         c = RatFunc.lift(other)
         return LaurentMat({k: v * c for k, v in self.terms.items()})
 
@@ -151,6 +138,31 @@ class LaurentMat:
             {"row": i + 1, "col": j + 1, "lambda_exp": e, "ratfunc": ratfunc_to_json(v)}
             for (i, j, e), v in sorted(self.terms.items())
         ]
+
+
+def _product(a: LaurentMat, b: LaurentMat, keep) -> LaurentMat:
+    """a * b, forming only the products whose principal degree passes
+    ``keep`` (every product when ``keep`` is None).  Degrees add under
+    multiplication and every product summed into one entry has that entry's
+    degree, so each kept entry is complete."""
+    out: Dict[Key, RatFunc] = {}
+    cols: Dict[int, list] = {}
+    for (k, j, e2), v2 in b.terms.items():
+        cols.setdefault(k, []).append((j, e2, v2))
+    for (i, k, e1), v1 in a.terms.items():
+        for j, e2, v2 in cols.get(k, ()):
+            e = e1 + e2
+            if keep is not None and not keep(3 * e + i - j):
+                continue
+            key = (i, j, e)
+            prod = v1 * v2
+            s = out.get(key)
+            s = prod if s is None else s + prod
+            if s.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = s
+    return LaurentMat(out)
 
 
 _LAMBDA = LaurentMat({(1, 0, 0): RF_ONE, (2, 1, 0): RF_ONE, (0, 2, 1): RF_ONE})
@@ -213,11 +225,19 @@ def grade_support(m: LaurentMat) -> list:
 
 def conjugate(p: LaurentMat, m: LaurentMat, p_inv: LaurentMat, degrees: range) -> LaurentMat:
     """The part of p * m * p_inv in the principal degrees ``degrees``, after
-    checking that p_inv really inverts p."""
+    checking that p_inv really inverts p.
+
+    Only the products that can land in ``degrees`` are formed: a term of
+    p * m below min(degrees) minus the top degree of p_inv cannot reach
+    them, and of (p * m) * p_inv only the products of a kept degree are
+    summed.
+    """
     if p * p_inv != LaurentMat.identity():
         raise ArithmeticError("p_inv is not the inverse of p")
-    full = p * m * p_inv
-    return LaurentMat({k: v for k, v in full.terms.items() if grade(*k) in degrees})
+    if not degrees:
+        return LaurentMat.zero()
+    low = min(degrees) - max(grade(*k) for k in p_inv.terms)
+    return _product(_product(p, m, lambda d: d >= low), p_inv, degrees.__contains__)
 
 
 def lambda_decompose(m: LaurentMat) -> list:

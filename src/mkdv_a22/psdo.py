@@ -259,8 +259,7 @@ def _product_coeff(a: Dict[int, List[RatFunc]], b: Dict[int, List[RatFunc]], n: 
             while len(bj) <= s:
                 bj.append(bj[-1].derivative())
             if not bj[s].is_zero():
-                term = ai[0] * (bj[s] * _binom(i, s))
-                total = term if total.is_zero() else total + term
+                total = total + ai[0] * (bj[s] * _binom(i, s))
     return total
 
 

@@ -72,7 +72,7 @@ class RunConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:  # also rejects NaN
             raise ValueError("tolerance must be positive")
         if self.depth < 1:
             raise ValueError("depth must be at least 1")

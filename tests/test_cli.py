@@ -98,6 +98,13 @@ def test_verify_exit_codes_and_determinism(capsys):
     assert code == 2 and "unknown suite" in err
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "0"])
+def test_verify_rejects_a_tolerance_that_is_not_positive(capsys, tolerance):
+    # no residual compares <= NaN, so a NaN tolerance would fail every case
+    code, out, err = run_cli(capsys, "verify", "bethe", f"--tolerance={tolerance}")
+    assert (code, out, err) == (2, "", "error: tolerance must be positive\n")
+
+
 def test_verify_seeded_suite_byte_identical(capsys):
     args = ("verify", "loop", "--seed", "5", "--samples", "2", "--json")
     _, out1, _ = run_cli(capsys, *args)

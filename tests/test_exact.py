@@ -257,6 +257,56 @@ def test_poly_division_matches_sympy(a, b):
             a.divexact(b)
 
 
+# --- RatFunc arithmetic against sympy's cancel ------------------------------------
+
+FACTORS = st.one_of(REPEATED, SMALL.filter(lambda p: p.degree() > 0), st.just(ONE))
+
+
+@st.composite
+def ratfunc_pairs(draw):
+    """(x, y) whose denominators share a factor g (g = 1 included) and may
+    repeat factors, built from non-monic denominators; y is drawn freely, or
+    is -x (the sum cancels to 0), a constant, or n/(g*d) - x (the sum cancels
+    part of the shared factor)."""
+    g = draw(FACTORS)
+    scale = draw(st.one_of(RATS, CONTENTS).filter(bool))
+    x = RatFunc(draw(NONZERO), g * draw(FACTORS) * scale)
+    other = RatFunc(draw(NONZERO), g * draw(FACTORS) * draw(CONTENTS))
+    kind = draw(st.sampled_from(["free", "negated", "constant", "split"]))
+    if kind == "negated":
+        return x, -x
+    if kind == "constant":
+        return x, RatFunc(draw(RATS))
+    if kind == "split":
+        return x, other - x
+    return x, other
+
+
+def agrees_with_cancel(r: RatFunc, num: sp.Poly, den: sp.Poly) -> bool:
+    """r is reduced with a monic denominator and equals num/den."""
+    assert_canonical(r.num)
+    assert r.den.is_monic()
+    assert sp.gcd(to_sympy(r.num), to_sympy(r.den)).degree() == 0
+    p, q = num.cancel(den, include=True)
+    lc = q.LC()
+    return (r.num, r.den) == (from_sympy(p.quo_ground(lc)), from_sympy(q.quo_ground(lc)))
+
+
+@seed(20261021)
+@PROPERTY
+@given(ratfunc_pairs())
+@example((RatFunc(ONE, X * (X + 1)), RatFunc(ONE, X * (X - 1))))  # t = 2x shares x with g
+def test_ratfunc_arithmetic_matches_sympy_cancel(pair):
+    x, y = pair
+    (nx, dx), (ny, dy) = [(to_sympy(r.num), to_sympy(r.den)) for r in pair]
+    assert agrees_with_cancel(x + y, nx * dy + ny * dx, dx * dy)
+    assert agrees_with_cancel(x - y, nx * dy - ny * dx, dx * dy)
+    assert agrees_with_cancel(x * y, nx * ny, dx * dy)
+    assert agrees_with_cancel(y * x, nx * ny, dx * dy)
+    assert agrees_with_cancel(x.derivative(), nx.diff(SX) * dx - nx * dx.diff(SX), dx**2)
+    assert agrees_with_cancel(y.derivative(), ny.diff(SX) * dy - ny * dy.diff(SX), dy**2)
+
+
 # --- pseudo-division: large degree gaps and leading coefficients ---------------------
 
 @st.composite

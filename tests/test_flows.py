@@ -5,10 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 import sympy as sp
+from hypothesis import given, seed, settings, strategies as st
 
-from mkdv_a22 import cli
-from mkdv_a22.exact import ONE, X, RatFunc
+from mkdv_a22 import cli, flows
+from mkdv_a22.exact import ONE, X, RatFunc, poly_lcm, solve_linear
 from mkdv_a22.flows import (
+    DecomposeResult,
     decompose_flow,
     dressing_product,
     family_tangents,
@@ -270,8 +272,10 @@ def test_flow_sample_json():
 
 
 def test_graded_conjugate_matches_projection_of_full_conjugate():
-    # the degree-d part kept by conjugate == grade_project of the full
-    # conjugate, for dressing products of every basic word of length <= 3
+    # the part kept by conjugate == grade_project of the full conjugate, for
+    # dressing products of every basic word of length <= 3 and for pairs of
+    # positive degree (conjugate must not assume p_inv tops out at degree 0),
+    # on single degrees and on windows with gaps
     mixed = (
         lambda_power(1)
         + LaurentMat({(0, 0, 0): rf(X), (1, 1, 0): rf(ONE), (2, 2, 0): rf(-X - 1)})
@@ -280,9 +284,108 @@ def test_graded_conjugate_matches_projection_of_full_conjugate():
     assert grade_support(mixed) == [-1, 0, 1]
     ms = [lambda_power(r) for r in (-1, 1, 5, 7)] + [mixed]
     params = (F(-3, 2), F(2), F(7, 4))
-    for js in [(), (0,), (1,), (0, 1), (1, 0), (0, 1, 0), (1, 0, 1)]:
-        p, p_inv = dressing_product(generate_multistep(js, params[: len(js)]))
+    pairs = [
+        dressing_product(generate_multistep(js, params[: len(js)]))
+        for js in [(), (0,), (1,), (0, 1), (1, 0), (0, 1, 0), (1, 0, 1)]
+    ]
+    p, p_inv = pairs[-1]
+    pairs += [
+        (lambda_power(1), lambda_power(-1)),
+        (lambda_power(-2), lambda_power(2)),
+        (lambda_power(4) * p, p_inv * lambda_power(-4)),
+        (p * lambda_power(-4), lambda_power(4) * p_inv),
+    ]
+    windows = [range(d, d + 1) for d in range(-3, 4)]
+    windows += [range(-3, 4, 3), range(-4, 5, 4), range(2, -5, -3), range(0, 0)]
+    for p, p_inv in pairs:
         for m in ms:
             full = p * m * p_inv
-            for d in range(-3, 4):
-                assert conjugate(p, m, p_inv, range(d, d + 1)) == grade_project(full, d), (js, d)
+            for degrees in windows:
+                expected = LaurentMat.zero()
+                for d in degrees:
+                    expected = expected + grade_project(full, d)
+                assert conjugate(p, m, p_inv, degrees) == expected, (p, m, degrees)
+    total = LaurentMat.zero()
+    for d in grade_support(m):
+        total = total + grade_project(m, d)
+    assert total == m
+    assert all(grade_project(lambda_power(r), d).is_zero() for r in (-3, 2, 5) for d in (0, 1) if d != r)
+
+
+def dense_decompose(field, tangents):
+    """decompose_flow as it was before it stopped at rank m: the dense solve
+    over every coefficient row and a RatFunc residual, kept as the oracle."""
+    den = field.den
+    for t in tangents:
+        den = poly_lcm(den, t.den)
+    target = field.num * den.divexact(field.den)
+    cleared = [t.num * den.divexact(t.den) for t in tangents]
+    ncoeffs = max([target.degree() + 1] + [p.degree() + 1 for p in cleared] + [1])
+    rows = [[p.coeff(k) for p in cleared] for k in range(ncoeffs)]
+    rhs = [target.coeff(k) for k in range(ncoeffs)]
+    sol = solve_linear(rows, rhs)
+    if sol is not None:
+        gamma = tuple(F(g) for g in sol)
+        residual = field
+        for g, t in zip(gamma, tangents):
+            residual = residual - t * g
+        assert residual.is_zero()
+        return DecomposeResult(gamma, True)
+    for keep in range(ncoeffs - 1, 0, -1):
+        sol = solve_linear(rows[:keep], rhs[:keep])
+        if sol is not None:
+            gamma = tuple(F(g) for g in sol)
+            resid = target
+            for g, p in zip(gamma, cleared):
+                resid = resid - p * g
+            k = next(i for i, cc in enumerate(resid.coeffs) if cc != 0)
+            return DecomposeResult(gamma, False, (k, F(resid.coeff(k))))
+    return DecomposeResult(tuple(F(0) for _ in tangents), False, None)
+
+
+SMALL_RATS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def decompose_inputs(draw):
+    """(kind, field, tangents): the family tangents of a short word, a field
+    in their span, and either those tangents ("consistent"), the tangents
+    with the first repeated ("repeated", rank below m), or a field pushed
+    out of the span ("inconsistent")."""
+    js = draw(st.sampled_from([(0,), (1,), (0, 1), (1, 0), (0, 1, 0), (1, 0, 1)]))
+    cs = draw(st.lists(SMALL_RATS, min_size=len(js), max_size=len(js)))
+    tangents = family_tangents(generate_multistep(js, tuple(cs)))
+    gamma = draw(st.lists(SMALL_RATS, min_size=len(js), max_size=len(js)))
+    field = RatFunc.zero()
+    for g, t in zip(gamma, tangents):
+        field = field + t * g
+    kind = draw(st.sampled_from(["consistent", "repeated", "inconsistent"]))
+    if kind == "repeated":
+        tangents = tangents + tangents[:1]
+    if kind == "inconsistent":
+        field = field + rf(ONE, X**5 + draw(st.integers(1, 9)))
+    return kind, field, tangents
+
+
+def test_decompose_flow_matches_dense_oracle():
+    dense_calls, paths = [], []
+    solve = flows.solve_linear
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flows, "solve_linear", lambda a, b: dense_calls.append(1) or solve(a, b))
+
+        @seed(20261021)
+        @settings(max_examples=60, deadline=None, database=None)
+        @given(decompose_inputs())
+        def check(case):
+            kind, field, tangents = case
+            before = len(dense_calls)
+            assert decompose_flow(field, tangents) == dense_decompose(field, tangents)
+            paths.append((kind, len(dense_calls) > before))
+
+        check()
+    # a repeated tangent never reaches rank m and an inconsistent field fails
+    # the identity, so both take the dense path; independent consistent
+    # tangents are settled by the leading rows alone
+    assert all(dense for kind, dense in paths if kind != "consistent")
+    assert any(not dense for kind, dense in paths if kind == "consistent")
+    assert {kind for kind, _ in paths} == {"consistent", "repeated", "inconsistent"}
