@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 Rat = Fraction
 
@@ -615,55 +615,57 @@ def laurent_at_infinity(r: RatFunc, n: int) -> list:
     return [quo.coeff(n - k) for k in range(1, n + 1)]
 
 
-def _gauss_jordan(rows: list, ncols: int):
-    """In-place reduction of augmented rows (last column is the rhs).
+def _eliminate(rows: Iterable[list], m: int) -> Iterator[Optional[tuple]]:
+    """Gauss-Jordan one augmented row at a time (m unknowns, rhs last).
 
-    Returns (pivots, bad_row) where pivots maps column -> row and bad_row is
-    the index of the first inconsistent row, or None.  Pivots are chosen as
-    the first nonzero entry scanning rows in order for each column left to
-    right, which makes the reduction deterministic.  Rows left below the
-    pivots have a zero left side, so only their rhs can be inconsistent.
+    Each new row is reduced by the pivot rows so far, then clears its own
+    pivot column from them, so the pivot rows are always the reduced row
+    echelon form of the rows so far; that form is unique, so the solution
+    it gives does not depend on the order of elimination.  After each row,
+    yields (rank, x): the rank of the rows so far and their solution with
+    free variables zero.  At the first inconsistent row it yields None and
+    stops.
     """
-    nrows = len(rows)
-    pivots: dict[int, int] = {}
-    rank = 0
-    for col in range(ncols):
-        pr = None
-        for r in range(rank, nrows):
-            if rows[r][col] != 0:
-                pr = r
-                break
-        if pr is None:
-            continue
-        rows[rank], rows[pr] = rows[pr], rows[rank]
-        inv = _one_over(rows[rank][col])
-        rows[rank] = [c * inv for c in rows[rank]]
-        for r in range(nrows):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        pivots[col] = rank
-        rank += 1
-    bad = next((r for r in range(rank, nrows) if rows[r][ncols] != 0), None)
-    return pivots, bad
+    pivots: list = []
+    x = (Fraction(0),) * m
+    for r in rows:
+        for col, pr in pivots:
+            f = r[col]
+            if f:
+                r = [a - f * b for a, b in zip(r, pr)]
+        col = next((c for c in range(m) if r[c]), None)
+        if col is None:
+            if r[m]:
+                yield None
+                return
+        else:
+            inv = _one_over(r[col])
+            r = [a * inv for a in r]
+            for i, (c, pr) in enumerate(pivots):
+                f = pr[col]
+                if f:
+                    pivots[i] = (c, [a - f * b for a, b in zip(pr, r)])
+            pivots.append((col, r))
+            sol = [Fraction(0)] * m
+            for c, pr in pivots:
+                sol[c] = pr[m]
+            x = tuple(sol)
+        yield len(pivots), x
 
 
 def solve_linear(a, b) -> Optional[list]:
     """One exact solution of A x = b, or None when inconsistent.
 
-    Free variables are set to zero.  Inconsistency is a value, not an error.
+    Free variables are set to zero, and the entries are ``Fraction`` also
+    for int input; no rows give [].  Inconsistency is a value, not an error.
     """
     rows = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    if not rows:
-        return []
-    ncols = len(rows[0]) - 1
-    pivots, bad = _gauss_jordan(rows, ncols)
-    if bad is not None:
-        return None
-    x = [Fraction(0)] * ncols
-    for col, r in pivots.items():
-        x[col] = rows[r][ncols]
-    return x
+    x: tuple = ()
+    for step in _eliminate(rows, len(rows[0]) - 1 if rows else 0):
+        if step is None:
+            return None
+        _, x = step
+    return list(x)
 
 
 # --- serialization -----------------------------------------------------------

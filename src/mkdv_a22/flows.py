@@ -17,18 +17,19 @@ Family tangents are the exact partial derivatives of the attached oper:
 v = (2 ln y1 - ln y0)' depends only on the final pair, whose parameter
 derivatives come from differentiating each Wronskian step of one generation
 run.  Matching the flow value against the span of the tangents is then one
-exact linear solve after clearing denominators: its rows are eliminated in
-order until the rank reaches the number of tangents, and one polynomial
-identity checks the unique solution against all of them.
+pass of exact elimination after clearing denominators: its rows are
+eliminated in order until the rank reaches the number of tangents, where one
+polynomial identity checks the unique solution against all of them, or until
+the first inconsistent row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .exact import Poly, RatFunc, poly_lcm, rat_to_str, ratfunc_to_json, solve_linear
+from .exact import RatFunc, _eliminate, poly_lcm, rat_to_str, ratfunc_to_json
 from .generation import (
     GenerationTrace,
     check_basic,
@@ -154,12 +155,13 @@ def decompose_flow(field: RatFunc, tangents: Sequence[RatFunc]) -> DecomposeResu
 
     Denominators are cleared to a single polynomial identity whose
     x-coefficients give a linear system for gamma over the rationals.  Its
-    rows are eliminated in order until the rank reaches m = len(tangents);
-    gamma is then unique, and one polynomial check of the whole identity
-    confirms it.  Otherwise the whole system is solved: when it is
-    inconsistent the returned gamma is the best-effort solution of its
-    consistent rows and the witness records the first failing x-coefficient
-    of the residual.
+    rows are eliminated in order, once.  When the rank reaches
+    m = len(tangents), gamma is unique and one polynomial check of the whole
+    identity confirms it; if the check fails, gamma already solves the
+    longest consistent prefix of the rows, and the witness records the first
+    nonzero x-coefficient of the residual.  Elimination also stops at the
+    first inconsistent row below rank m, with the same witness, or with zero
+    gamma and no witness when that is row 0.
     """
     if not tangents:
         raise ValueError("need at least one tangent")
@@ -169,69 +171,26 @@ def decompose_flow(field: RatFunc, tangents: Sequence[RatFunc]) -> DecomposeResu
     target = field.num * den.divexact(field.den)
     cleared = [t.num * den.divexact(t.den) for t in tangents]
     ncoeffs = max([target.degree() + 1] + [p.degree() + 1 for p in cleared] + [1])
-
-    def row(k: int) -> list:
-        return [p.coeff(k) for p in cleared] + [target.coeff(k)]
-
-    def residual(gamma) -> Poly:
-        resid = target
-        for g, p in zip(gamma, cleared):
-            resid = resid - p * g
-        return resid
-
-    gamma = _leading_solution(map(row, range(ncoeffs)), len(cleared))
-    if gamma is not None and residual(gamma).is_zero():
+    m = len(cleared)
+    rows = ([p.coeff(k) for p in cleared] + [target.coeff(k)] for k in range(ncoeffs))
+    gamma = (Fraction(0),) * m
+    for k, step in enumerate(_eliminate(rows, m)):
+        if step is None:
+            if k == 0:
+                return DecomposeResult(gamma, False)
+            break
+        rank, gamma = step
+        if rank == m:
+            break
+    resid = target
+    for g, p in zip(gamma, cleared):
+        resid = resid - p * g
+    if resid.is_zero():
         return DecomposeResult(gamma, True)
-    rows = [row(k) for k in range(ncoeffs)]
-    rhs = [r.pop() for r in rows]
-    sol = solve_linear(rows, rhs)
-    if sol is not None:
-        gamma = tuple(Fraction(g) for g in sol)
-        if not residual(gamma).is_zero():
-            raise AssertionError("consistent system left a nonzero residual")
-        return DecomposeResult(gamma, True)
-    # inconsistent: solve the consistent prefix for a best-effort gamma
-    witness = None
-    for keep in range(ncoeffs - 1, 0, -1):
-        sol = solve_linear(rows[:keep], rhs[:keep])
-        if sol is not None:
-            gamma = tuple(Fraction(g) for g in sol)
-            resid = residual(gamma)
-            k = next(i for i, cc in enumerate(resid.coeffs) if cc != 0)
-            witness = (k, Fraction(resid.coeff(k)))
-            return DecomposeResult(gamma, False, witness)
-    return DecomposeResult(tuple(Fraction(0) for _ in tangents), False, witness)
-
-
-def _leading_solution(rows: Iterable[list], m: int) -> Optional[Tuple[Fraction, ...]]:
-    """The solution of the first augmented rows whose left sides reach rank m
-    (unique there), or None when those rows are inconsistent or the rank
-    stays below m.  Gauss-Jordan one row at a time: each new row is reduced
-    by the pivot rows so far, then clears its own pivot column from them."""
-    pivots: List[Tuple[int, list]] = []
-    for r in rows:
-        for col, pr in pivots:
-            f = r[col]
-            if f:
-                r = [a - f * b for a, b in zip(r, pr)]
-        col = next((c for c in range(m) if r[c]), None)
-        if col is None:
-            if r[m]:
-                return None
-            continue
-        lead = r[col]
-        r = [a / lead for a in r]
-        for i, (c, pr) in enumerate(pivots):
-            f = pr[col]
-            if f:
-                pivots[i] = (c, [a - f * b for a, b in zip(pr, r)])
-        pivots.append((col, r))
-        if len(pivots) == m:
-            gamma = [Fraction(0)] * m
-            for c, pr in pivots:
-                gamma[c] = pr[m]
-            return tuple(gamma)
-    return None
+    if step is not None and rank < m:  # every row was consistent
+        raise AssertionError("consistent system left a nonzero residual")
+    k = next(i for i, cc in enumerate(resid.coeffs) if cc != 0)
+    return DecomposeResult(gamma, False, (k, Fraction(resid.coeff(k))))
 
 
 def vanishing_threshold(j_seq: Sequence[int], r: int) -> bool:

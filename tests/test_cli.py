@@ -4,12 +4,17 @@ import contextlib
 import io
 import json
 import random
+import sys
+from fractions import Fraction as F
 
 import pytest
 
 from mkdv_a22 import flows
 from mkdv_a22.cli import main
-from mkdv_a22.generation import InfertileError
+from mkdv_a22.exact import poly_from_json, ratfunc_from_json
+from mkdv_a22.flows import flow_sample
+from mkdv_a22.generation import InfertileError, generate_multistep
+from mkdv_a22.miura import miura_from_trace
 
 
 def run_cli(capsys, *argv):
@@ -228,6 +233,60 @@ def test_flow_far_above_threshold(capsys):
     data = json.loads(out)
     assert data["field"] == {"num": [], "den": ["1"]}
     assert data["gamma"] == ["0", "0"] and data["residual_zero"] is True
+
+
+
+# --- big numbers ------------------------------------------------------------------
+
+def int_digit_limit():
+    """The interpreter's limit on int <-> str digits, or None where it has none."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+@contextlib.contextmanager
+def no_int_digit_limit():
+    limit = int_digit_limit()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["miura", "1,0", "--c=1e900,1"],
+        ["flow", "1,0", "--c=1e900,1", "--r", "5"],
+        ["generate", "1,0", "--c=" + "7" * 5000 + ",1"],
+    ],
+    ids=["miura", "flow", "generate-5000-digit-literal"],
+)
+def test_big_numbers_reach_stdout(capsys, argv):
+    # answers and literals beyond the interpreter's 4300-digit int <-> str
+    # limit; the CLI lifts the limit for the call and restores it
+    limit = int_digit_limit()
+    code, out, err = run_cli(capsys, *argv)
+    assert int_digit_limit() == limit
+    assert code == 0, err
+    data = json.loads(out)
+    with no_int_digit_limit():
+        c = tuple(F(t) for t in argv[2][len("--c="):].split(","))
+        trace = generate_multistep((1, 0), c)
+        if argv[0] == "miura":
+            assert ratfunc_from_json(data["v"]) == miura_from_trace(trace).v
+        elif argv[0] == "flow":
+            sample = flow_sample((1, 0), c, 5)
+            assert ratfunc_from_json(data["field"]) == sample.field
+            assert tuple(F(g) for g in data["gamma"]) == sample.gamma
+        else:
+            assert tuple(F(t) for t in data["c"]) == c
+            assert [(poly_from_json(y0), poly_from_json(y1)) for y0, y1 in data["pairs"]] == [
+                (p.y0, p.y1) for p in trace.pairs
+            ]
+            assert [ratfunc_from_json(g) for g in data["gs"]] == list(trace.gs)
 
 
 # --- bounded argv fuzz -----------------------------------------------------------

@@ -437,6 +437,7 @@ def test_solve_linear_examples():
     assert solve_linear(ident, [F(4), F(5)]) == [F(4), F(5)]
     assert solve_linear([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)]) is None
     assert solve_linear([[F(2)]], [F(5)]) == [F(5, 2)]
+    assert solve_linear([], []) == []
 
 
 def test_solve_linear_random_consistency():
@@ -449,6 +450,56 @@ def test_solve_linear_random_consistency():
         sol = solve_linear(a, b)
         assert sol is not None
         assert all(sum(row[j] * sol[j] for j in range(m)) == bi for row, bi in zip(a, b))
+
+
+
+@st.composite
+def linear_systems(draw):
+    """(kind, a, b): a consistent system, one with a dependent row (rank
+    below the row count), one whose dependent row has a shifted rhs
+    (inconsistent), or one with no columns; entries are all ints or all
+    Fractions."""
+    kind = draw(st.sampled_from(["consistent", "dependent", "inconsistent", "no columns"]))
+    entry = draw(st.sampled_from([st.integers(-4, 4), st.fractions(-4, 4, max_denominator=3)]))
+    nrows = draw(st.integers(1, 4))
+    ncols = 0 if kind == "no columns" else draw(st.integers(1, 4))
+    a = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    if kind == "no columns":
+        return kind, a, [draw(entry) for _ in a]
+    x = [draw(entry) for _ in range(ncols)]
+    b = [sum(v * xj for v, xj in zip(row, x)) for row in a]
+    if kind != "consistent":
+        ks = [draw(entry) for _ in a]
+        row = [sum(k * r[j] for k, r in zip(ks, a)) for j in range(ncols)]
+        shift = draw(entry.filter(bool)) if kind == "inconsistent" else 0
+        at = draw(st.integers(0, nrows))
+        a.insert(at, row)
+        b.insert(at, sum(k * bi for k, bi in zip(ks, b)) + shift)
+    return kind, a, b
+
+
+@seed(20261022)
+@settings(PROPERTY, max_examples=200)
+@given(linear_systems())
+def test_solve_linear_matches_sympy_rref(case):
+    # the reduced row echelon form of [A | b] is unique: the system is
+    # inconsistent exactly when the rhs column holds a pivot, and otherwise
+    # the solution with free variables zero reads off the pivot rows
+    kind, a, b = case
+    ncols = len(a[0])
+    aug = sp.Matrix([[sp.Rational(F(v).numerator, F(v).denominator) for v in row + [rhs]]
+                     for row, rhs in zip(a, b)])
+    rref, pivots = aug.rref()
+    sol = solve_linear(a, b)
+    if ncols in pivots:
+        assert sol is None
+        assert kind in ("inconsistent", "no columns")
+        return
+    expected = [F(0)] * ncols
+    for i, col in enumerate(pivots):
+        expected[col] = F(int(rref[i, ncols].p), int(rref[i, ncols].q))
+    assert sol == expected and all(type(v) is F for v in sol)
+    assert kind != "inconsistent"
 
 
 # --- serialization ---------------------------------------------------------------

@@ -7,8 +7,8 @@ import pytest
 import sympy as sp
 from hypothesis import given, seed, settings, strategies as st
 
-from mkdv_a22 import cli, flows
-from mkdv_a22.exact import ONE, X, RatFunc, poly_lcm, solve_linear
+from mkdv_a22 import cli, exact
+from mkdv_a22.exact import ONE, X, RatFunc, poly_lcm
 from mkdv_a22.flows import (
     DecomposeResult,
     decompose_flow,
@@ -201,6 +201,11 @@ def test_decompose_flow_inconsistent_reports_witness():
     dec = decompose_flow(field, tangents)
     assert not dec.residual_zero
     assert dec.witness is not None
+    # cleared: x + 1 = gamma * (x**2 + 1); row 0 gives gamma = 1 and the
+    # residual -x**2 + x first fails at x**1
+    assert dec == dense_decompose(field, tangents) == DecomposeResult((F(1),), False, (1, F(1)))
+    # row 0 alone (0 = 1) is inconsistent: no prefix is, so zero gamma and no witness
+    assert decompose_flow(RatFunc.one(), [rf(X, ONE)]) == DecomposeResult((F(0),), False)
     with pytest.raises(ValueError):
         decompose_flow(field, [])
 
@@ -312,9 +317,48 @@ def test_graded_conjugate_matches_projection_of_full_conjugate():
     assert all(grade_project(lambda_power(r), d).is_zero() for r in (-3, 2, 5) for d in (0, 1) if d != r)
 
 
+def dense_gauss_jordan(rows, ncols):
+    """Column-pivot reduction of augmented rows in place (last column is the
+    rhs); returns (pivots, bad_row) with pivots mapping column -> row and
+    bad_row the first inconsistent row, or None.  The oracle's own copy, so
+    it shares no code with the engine's row-at-a-time elimination."""
+    nrows = len(rows)
+    pivots, rank = {}, 0
+    for col in range(ncols):
+        pr = next((r for r in range(rank, nrows) if rows[r][col] != 0), None)
+        if pr is None:
+            continue
+        rows[rank], rows[pr] = rows[pr], rows[rank]
+        inv = F(1) / F(rows[rank][col])
+        rows[rank] = [c * inv for c in rows[rank]]
+        for r in range(nrows):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        pivots[col] = rank
+        rank += 1
+    return pivots, next((r for r in range(rank, nrows) if rows[r][ncols] != 0), None)
+
+
+def dense_solve(a, b):
+    """One solution of A x = b with free variables zero, or None."""
+    rows = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    if not rows:
+        return []
+    ncols = len(rows[0]) - 1
+    pivots, bad = dense_gauss_jordan(rows, ncols)
+    if bad is not None:
+        return None
+    x = [F(0)] * ncols
+    for col, r in pivots.items():
+        x[col] = rows[r][ncols]
+    return x
+
+
 def dense_decompose(field, tangents):
-    """decompose_flow as it was before it stopped at rank m: the dense solve
-    over every coefficient row and a RatFunc residual, kept as the oracle."""
+    """decompose_flow as it was before its one-pass elimination: a dense
+    solve over every coefficient row, a RatFunc residual, and a re-solve of
+    every prefix for the witness, kept as the oracle."""
     den = field.den
     for t in tangents:
         den = poly_lcm(den, t.den)
@@ -323,7 +367,7 @@ def dense_decompose(field, tangents):
     ncoeffs = max([target.degree() + 1] + [p.degree() + 1 for p in cleared] + [1])
     rows = [[p.coeff(k) for p in cleared] for k in range(ncoeffs)]
     rhs = [target.coeff(k) for k in range(ncoeffs)]
-    sol = solve_linear(rows, rhs)
+    sol = dense_solve(rows, rhs)
     if sol is not None:
         gamma = tuple(F(g) for g in sol)
         residual = field
@@ -332,7 +376,7 @@ def dense_decompose(field, tangents):
         assert residual.is_zero()
         return DecomposeResult(gamma, True)
     for keep in range(ncoeffs - 1, 0, -1):
-        sol = solve_linear(rows[:keep], rhs[:keep])
+        sol = dense_solve(rows[:keep], rhs[:keep])
         if sol is not None:
             gamma = tuple(F(g) for g in sol)
             resid = target
@@ -367,25 +411,21 @@ def decompose_inputs(draw):
     return kind, field, tangents
 
 
-def test_decompose_flow_matches_dense_oracle():
-    dense_calls, paths = [], []
-    solve = flows.solve_linear
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flows, "solve_linear", lambda a, b: dense_calls.append(1) or solve(a, b))
+def test_decompose_flow_matches_dense_oracle(monkeypatch):
+    # the one-pass elimination never reaches the dense solver
+    def no_dense_solve(a, b):
+        raise AssertionError("decompose_flow called solve_linear")
 
-        @seed(20261021)
-        @settings(max_examples=60, deadline=None, database=None)
-        @given(decompose_inputs())
-        def check(case):
-            kind, field, tangents = case
-            before = len(dense_calls)
-            assert decompose_flow(field, tangents) == dense_decompose(field, tangents)
-            paths.append((kind, len(dense_calls) > before))
+    monkeypatch.setattr(exact, "solve_linear", no_dense_solve)
+    kinds = set()
 
-        check()
-    # a repeated tangent never reaches rank m and an inconsistent field fails
-    # the identity, so both take the dense path; independent consistent
-    # tangents are settled by the leading rows alone
-    assert all(dense for kind, dense in paths if kind != "consistent")
-    assert any(not dense for kind, dense in paths if kind == "consistent")
-    assert {kind for kind, _ in paths} == {"consistent", "repeated", "inconsistent"}
+    @seed(20261021)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(decompose_inputs())
+    def check(case):
+        kind, field, tangents = case
+        assert decompose_flow(field, tangents) == dense_decompose(field, tangents)
+        kinds.add(kind)
+
+    check()
+    assert kinds == {"consistent", "repeated", "inconsistent"}
