@@ -10,6 +10,9 @@ error (an ``ArithmeticError`` or ``AssertionError`` raised inside the engine,
 such as a truncation instability, a Wronskian step with no solution or a
 failed internal guard).
 
+``main`` builds its argparse parser once per process, on the first call,
+and reuses it; ``build_parser()`` returns a fresh parser on every call.
+
 Parameter lists that start with a minus sign must be attached with ``=``,
 as in ``--c=-3,2``: argparse reads ``--c -3,2`` as an option with no value.
 """
@@ -17,6 +20,7 @@ as in ``--c=-3,2``: argparse reads ``--c -3,2`` as an option with no value.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -206,6 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` parses with: built on the first call, then reused
+    for the life of the process (parsing leaves a parser unchanged)."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     # exact answers and parameters may exceed the interpreter's limit on
     # int <-> str digits; lift it for this call only
@@ -213,7 +224,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -670,15 +670,26 @@ def solve_linear(a, b) -> Optional[list]:
 
 # --- serialization -----------------------------------------------------------
 
+def _ratio_str(num: int, den: int) -> str:
+    """``num/den`` in lowest terms with ``den > 0``, written as JSON prints it."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def rat_to_str(c) -> str:
     c = Fraction(c)
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
+    return _ratio_str(c.numerator, c.denominator)
 
 
 def poly_to_json(p: Poly) -> list:
-    return [rat_to_str(c) for c in p.coeffs]
+    """``[rat_to_str(c) for c in p.coeffs]``, formed from ``cont`` and ``ints``
+    without the Fraction view: with cont = a/b in lowest terms, gcd(n*a, b)
+    == gcd(n, b), so cont * n reduces to (n//g * a)/(b//g) with g = gcd(n, b)."""
+    a, b = p.cont.numerator, p.cont.denominator
+    out = []
+    for n in p.ints:
+        g = math.gcd(n, b)
+        out.append(_ratio_str(n // g * a, b // g))
+    return out
 
 
 def poly_from_json(data: Sequence[str]) -> Poly:

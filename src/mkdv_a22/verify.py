@@ -8,6 +8,7 @@ from an explicit seed echoed in the report, so reruns are byte-identical.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -74,6 +75,8 @@ class RunConfig:
             raise ValueError("samples must be at least 1")
         if not self.tolerance > 0:  # also rejects NaN
             raise ValueError("tolerance must be positive")
+        if not math.isfinite(self.tolerance):  # every residual passes an infinite one
+            raise ValueError("tolerance must be finite")
         if self.depth < 1:
             raise ValueError("depth must be at least 1")
 

@@ -4,13 +4,15 @@ import contextlib
 import io
 import json
 import random
+import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from mkdv_a22 import flows
-from mkdv_a22.cli import main
+from mkdv_a22 import cli, flows
+from mkdv_a22.cli import build_parser, main
 from mkdv_a22.exact import poly_from_json, ratfunc_from_json
 from mkdv_a22.flows import flow_sample
 from mkdv_a22.generation import InfertileError, generate_multistep
@@ -108,6 +110,13 @@ def test_verify_rejects_a_tolerance_that_is_not_positive(capsys, tolerance):
     # no residual compares <= NaN, so a NaN tolerance would fail every case
     code, out, err = run_cli(capsys, "verify", "bethe", f"--tolerance={tolerance}")
     assert (code, out, err) == (2, "", "error: tolerance must be positive\n")
+
+
+@pytest.mark.parametrize("tolerance", ["inf", "Infinity", "1e400"])
+def test_verify_rejects_an_infinite_tolerance(capsys, tolerance):
+    # every residual compares <= inf, so the suite would pass whatever it computed
+    code, out, err = run_cli(capsys, "verify", "bethe", f"--tolerance={tolerance}", "--samples=1")
+    assert (code, out, err) == (2, "", "error: tolerance must be finite\n")
 
 
 def test_verify_seeded_suite_byte_identical(capsys):
@@ -289,6 +298,98 @@ def test_big_numbers_reach_stdout(capsys, argv):
             assert [ratfunc_from_json(g) for g in data["gs"]] == list(trace.gs)
 
 
+# --- one parser per process ---------------------------------------------------------
+
+def run_captured(argv: list) -> tuple:
+    """(exit code, stdout, stderr) of main(argv); an argparse exit gives
+    ("SystemExit", its code) as the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_reused_parser_answers_like_a_fresh_one(monkeypatch, tmp_path):
+    # options given to one call must not leak into the next: --i, --output
+    # and the state of a rejected or --help command line
+    report = tmp_path / "report.json"
+    kdv = ["kdv-check", "0", "--c", "1", "--r", "1"]
+    verify = ["verify", "degrees", "--samples", "1"]
+    sequence = [
+        kdv + ["--i", "1"],
+        kdv,
+        verify + ["--output", str(report)],
+        verify,
+        ["flow", "0", "--c", "3"],  # no --r: argparse rejects it
+        ["generate", "0,1", "--c", "1"],  # one parameter short: main rejects it
+        ["--help"],
+        ["generate", "0,1", "--c", "2,5"],
+    ]
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    def run_sequence():
+        results = []
+        for argv in sequence:
+            results.append(run_captured(argv))
+            if report.exists():
+                results.append(report.read_text())
+                report.unlink()
+        return results
+
+    shared = cli._shared_parser
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    shared.cache_clear()
+    try:
+        reused = run_sequence()
+        assert len(built) == 1
+        monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+        fresh = run_sequence()
+        assert len(built) == 1 + len(sequence)
+    finally:
+        shared.cache_clear()
+    assert reused == fresh
+    codes = [r[0] for r in reused if isinstance(r, tuple)]
+    assert codes == [0, 0, 0, 0, ("SystemExit", 2), 2, ("SystemExit", 0), 0]
+    assert list(json.loads(reused[0][1])["consistent"]) == ["1"]
+    assert list(json.loads(reused[1][1])["consistent"]) == ["0", "1", "2"]
+    # the report is written by the --output call alone
+    assert [i for i, r in enumerate(reused) if isinstance(r, str)] == [3]
+    assert json.loads(reused[3])["reports"][0]["ok"] is True
+
+
+def test_parser_is_built_on_the_first_call_not_at_import():
+    script = (
+        "import argparse, sys\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *a, **k):\n"
+        "    built.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from mkdv_a22 import cli\n"
+        "at_import = len(built)\n"
+        "calls = []\n"
+        "build = cli.build_parser\n"
+        "cli.build_parser = lambda: calls.append(1) or build()\n"
+        "codes = [cli.main(['degrees', '0,1', '--json']) for _ in range(3)]\n"
+        "print(at_import, len(calls), codes)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, src], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 1 [0, 0, 0]"
+
+
 # --- bounded argv fuzz -----------------------------------------------------------
 
 FUZZ_COMMANDS = ("degrees", "generate", "flow", "miura", "kdv-check", "verify")
@@ -334,14 +435,10 @@ def fuzz_argv(rng: random.Random) -> list:
 
 
 def run_fuzz_case(argv: list) -> tuple:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the command line
-            assert exc.code == 2, argv
-            code = "argparse"
-    return code, out.getvalue(), err.getvalue()
+    code, out, err = run_captured(argv)
+    if code == ("SystemExit", 2):  # argparse rejects the command line
+        code = "argparse"
+    return code, out, err
 
 
 def test_cli_argv_fuzz_exits_cleanly_and_deterministically():

@@ -504,6 +504,30 @@ def test_solve_linear_matches_sympy_rref(case):
 
 # --- serialization ---------------------------------------------------------------
 
+# integer tuples with interior zeros, scaled by integer-valued or fractional,
+# positive or negative, small or huge contents
+SCALED_INTS = st.builds(
+    lambda ints, c: Poly([F(k) for k in ints]) * c,
+    st.lists(st.one_of(st.just(0), st.integers(-HUGE, HUGE)), max_size=6),
+    st.one_of(CONTENTS, st.integers(-HUGE, HUGE).filter(bool).map(F)),
+)
+
+
+@seed(20261022)
+@PROPERTY
+@given(st.one_of(WIDE, SCALED_INTS))
+@example(Poly())
+@example(Poly([F(3, 4), F(0), F(0), F(-5, 6)]))
+@example(Poly([F(2**100 + 1, 3**70), F(0), F(-7, 2**90)]))
+@example(Poly([F(-6), F(0), F(-4)]))
+def test_poly_to_json_matches_the_fraction_view(p):
+    fresh = Poly._make(p.cont, p.ints)
+    out = poly_to_json(fresh)
+    assert not hasattr(fresh, "_coeffs")  # formatted without the Fraction view
+    assert out == [rat_to_str(c) for c in p.coeffs]
+    assert poly_from_json(out) == p
+
+
 def test_serialization_round_trip():
     assert rat_to_str(F(-3, 7)) == "-3/7"
     assert rat_to_str(F(4)) == "4"
