@@ -30,7 +30,7 @@ from .exact import rat_to_str
 from .generation import check_basic, degree_walk, generate_multistep
 from .flows import check_r, flow_sample
 from .miura import diagram_sides, miura_from_trace
-from .verify import RunConfig, SUITES, run_suites
+from .verify import RunConfig, SUITES
 
 
 def _parse_word(text: Optional[str]) -> tuple:
@@ -133,7 +133,7 @@ def cmd_verify(args) -> int:
     config = RunConfig(
         seed=args.seed, samples=args.samples, depth=args.depth, tolerance=args.tolerance
     )
-    reports = run_suites(names, config)
+    reports = [SUITES[name](config) for name in names]
     payload = _dump({"reports": [r.to_json() for r in reports]})
     if args.json:
         print(payload)

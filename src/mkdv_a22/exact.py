@@ -32,9 +32,11 @@ class Poly:
     ``ints`` is a primitive integer tuple (gcd 1) whose last entry is
     positive and ``cont`` a nonzero ``Fraction``; the zero polynomial has
     ``ints == ()`` and ``cont == 0``.  The form is unique, so equality
-    compares one tuple and one Fraction.  ``coeffs`` is the Fraction view
-    ``coeffs[i] == cont * ints[i]``, built on first use; it has no trailing
-    zero and ``degree() == len(coeffs) - 1``.
+    compares one tuple and one Fraction.  The rest of the package reads this
+    integer form only.  ``coeffs`` is the Fraction view
+    ``coeffs[i] == cont * ints[i]``, built on first use and kept for callers
+    outside the engine; it has no trailing zero and
+    ``degree() == len(coeffs) - 1``.
     """
 
     __slots__ = ("cont", "ints", "_coeffs")
@@ -220,10 +222,10 @@ class Poly:
         if not self.ints:
             return "0"
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
+        for i in range(len(self.ints) - 1, -1, -1):
+            if not self.ints[i]:
                 continue
+            c = self.coeff(i)
             if i == 0:
                 parts.append(f"{c}")
             elif c == 1:

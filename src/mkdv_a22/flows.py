@@ -189,8 +189,8 @@ def decompose_flow(field: RatFunc, tangents: Sequence[RatFunc]) -> DecomposeResu
         return DecomposeResult(gamma, True)
     if step is not None and rank < m:  # every row was consistent
         raise AssertionError("consistent system left a nonzero residual")
-    k = next(i for i, cc in enumerate(resid.coeffs) if cc != 0)
-    return DecomposeResult(gamma, False, (k, Fraction(resid.coeff(k))))
+    k = next(i for i, n in enumerate(resid.ints) if n)
+    return DecomposeResult(gamma, False, (k, resid.coeff(k)))
 
 
 def vanishing_threshold(j_seq: Sequence[int], r: int) -> bool:

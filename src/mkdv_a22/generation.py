@@ -356,7 +356,7 @@ def bethe_residuals(pair: PolyPair, tolerance: float = 1e-8) -> BetheReport:
         raise ValueError("residual check requires a generic pair")
     roots = []
     for y in pair:
-        coeffs = [complex(Fraction(c)) for c in y.coeffs]
+        coeffs = [complex(y.cont * n) for n in y.ints]
         roots.append(durand_kerner(coeffs) if y.degree() > 0 else [])
     u0, u1 = roots
     worst = 0.0

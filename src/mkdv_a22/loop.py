@@ -55,7 +55,8 @@ Key = Tuple[int, int, int]  # (row, col, lambda exponent), rows/cols 0-based
 class LaurentMat:
     """3x3 matrix of Laurent polynomials in lambda with RatFunc coefficients.
 
-    Stored as a map (row, col, lambda_exp) -> coefficient with no zero values.
+    Stored as a map (row, col, lambda_exp) -> coefficient with no zero values;
+    the constructor lifts every value to a ``RatFunc`` and drops the zeros.
     """
 
     __slots__ = ("terms",)
@@ -85,7 +86,7 @@ class LaurentMat:
     @staticmethod
     def unit(i: int, j: int, e: int = 0, coeff=RF_ONE) -> "LaurentMat":
         """coeff * lambda**e * e_{i+1, j+1}."""
-        return LaurentMat({(i, j, e): RatFunc.lift(coeff)})
+        return LaurentMat({(i, j, e): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -97,11 +98,7 @@ class LaurentMat:
         out = dict(self.terms)
         for key, val in other.terms.items():
             s = out.get(key)
-            s = val if s is None else s + val
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            out[key] = val if s is None else s + val
         return LaurentMat(out)
 
     def __sub__(self, other: "LaurentMat") -> "LaurentMat":
@@ -157,11 +154,7 @@ def _product(a: LaurentMat, b: LaurentMat, keep) -> LaurentMat:
             key = (i, j, e)
             prod = v1 * v2
             s = out.get(key)
-            s = prod if s is None else s + prod
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            out[key] = prod if s is None else s + prod
     return LaurentMat(out)
 
 
@@ -256,7 +249,7 @@ def lambda_decompose(m: LaurentMat) -> list:
 
 
 def diag_matrix(diag) -> LaurentMat:
-    return LaurentMat({(i, i, 0): RatFunc.lift(diag[i]) for i in range(3)})
+    return LaurentMat({(i, i, 0): diag[i] for i in range(3)})
 
 
 def lambda_recompose(parts) -> LaurentMat:

@@ -80,7 +80,8 @@ def _binom(k: int, s: int) -> Fraction:
 
 @dataclass(frozen=True)
 class PsDO:
-    """sum over orders i of terms[i] * d^i, exact at orders >= floor."""
+    """sum over orders i of terms[i] * d^i, exact at orders >= floor; the
+    constructor drops zero terms and terms below the floor."""
 
     terms: Dict[int, RatFunc]
     floor: Optional[int] = None
@@ -116,7 +117,7 @@ class PsDO:
 
     def truncate(self, floor: int) -> "PsDO":
         new_floor = floor if self.floor is None else max(floor, self.floor)
-        return PsDO({i: c for i, c in self.terms.items() if i >= new_floor}, new_floor)
+        return PsDO(self.terms, new_floor)
 
     def plus_part(self) -> "PsDO":
         """Orders >= 0, exact and floor-free; an ``ArithmeticError`` (an
@@ -129,11 +130,7 @@ class PsDO:
         terms = dict(self.terms)
         for i, c in other.terms.items():
             s = terms.get(i)
-            s = c if s is None else s + c
-            if s.is_zero():
-                terms.pop(i, None)
-            else:
-                terms[i] = s
+            terms[i] = c if s is None else s + c
         return PsDO(terms, _floor_max(self.floor, other.floor))
 
     def __sub__(self, other: "PsDO") -> "PsDO":
@@ -144,11 +141,6 @@ class PsDO:
 
     def __mul__(self, other: "PsDO") -> "PsDO":
         return psdo_mul(self, other)
-
-    def __eq__(self, other):
-        if isinstance(other, PsDO):
-            return self.terms == other.terms and self.floor == other.floor
-        return NotImplemented
 
     def __repr__(self):
         body = " + ".join(f"({c})d^{i}" for i, c in sorted(self.terms.items(), reverse=True))

@@ -22,6 +22,7 @@ from .exact import (
     wronskian,
 )
 from .generation import (
+    InfertileError,
     degree_walk,
     degree_vector,
     generate_multistep,
@@ -167,8 +168,6 @@ def verify_degrees(config: RunConfig) -> SuiteReport:
 def _random_ratfunc(rng: random.Random, num_deg=2, den_deg=2) -> RatFunc:
     num = Poly([sample_rational(rng) for _ in range(rng.randint(0, num_deg) + 1)])
     den = Poly([sample_rational(rng) for _ in range(den_deg)] + [Fraction(1)])
-    if den.is_zero():
-        den = ONE
     if num.is_zero():
         num = ONE
     return RatFunc(num, den)
@@ -372,8 +371,6 @@ def verify_gamma_polynomial(config: RunConfig) -> SuiteReport:
     1/3 to keep the whole grid away from degenerate (non-square-free) pairs.
     """
     rep = SuiteReport("gamma-polynomial", config.seed)
-    from .generation import InfertileError
-
     grid = 8
 
     for j_seq in ((0, 1), (1, 0)):
@@ -469,7 +466,3 @@ SUITES: Dict[str, Callable[[RunConfig], SuiteReport]] = {
     "kdv": verify_kdv,
     "bethe": verify_bethe,
 }
-
-
-def run_suites(names: Sequence[str], config: RunConfig) -> List[SuiteReport]:
-    return [SUITES[name](config) for name in names]

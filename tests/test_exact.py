@@ -535,3 +535,56 @@ def test_serialization_round_trip():
     assert poly_from_json(poly_to_json(p)) == p
     r = RatFunc(p, (X + 1) ** 2)
     assert ratfunc_from_json(ratfunc_to_json(r)) == r
+
+
+# Recorded from the implementation that printed through the Fraction view:
+# ``__str__`` and ``__repr__`` must not move when their source of coefficients does.
+POLY_TEXT = [
+    ((), "0", "Poly([])"),
+    ((0,), "0", "Poly([])"),
+    ((1,), "1", "Poly([Fraction(1, 1)])"),
+    ((-1,), "-1", "Poly([Fraction(-1, 1)])"),
+    ((5,), "5", "Poly([Fraction(5, 1)])"),
+    ((F(-3, 2),), "-3/2", "Poly([Fraction(-3, 2)])"),
+    ((0, 1), "x", "Poly([Fraction(0, 1), Fraction(1, 1)])"),
+    ((0, -1), "-1*x", "Poly([Fraction(0, 1), Fraction(-1, 1)])"),
+    ((1, -1), "-1*x + 1", "Poly([Fraction(1, 1), Fraction(-1, 1)])"),
+    ((-1, 1), "x - 1", "Poly([Fraction(-1, 1), Fraction(1, 1)])"),
+    ((0, 0, 1), "x^2", "Poly([Fraction(0, 1), Fraction(0, 1), Fraction(1, 1)])"),
+    ((1, 0, 1), "x^2 + 1", "Poly([Fraction(1, 1), Fraction(0, 1), Fraction(1, 1)])"),
+    ((1, 1, 1), "x^2 + x + 1", "Poly([Fraction(1, 1), Fraction(1, 1), Fraction(1, 1)])"),
+    (
+        (-1, -1, -1),
+        "-1*x^2 - 1*x - 1",
+        "Poly([Fraction(-1, 1), Fraction(-1, 1), Fraction(-1, 1)])",
+    ),
+    (
+        (-1, 0, 0, -1),
+        "-1*x^3 - 1",
+        "Poly([Fraction(-1, 1), Fraction(0, 1), Fraction(0, 1), Fraction(-1, 1)])",
+    ),
+    (
+        (2, 0, -1, 0, 3),
+        "3*x^4 - 1*x^2 + 2",
+        "Poly([Fraction(2, 1), Fraction(0, 1), Fraction(-1, 1), Fraction(0, 1), Fraction(3, 1)])",
+    ),
+    (
+        (7, -1, 0, 0, -5),
+        "-5*x^4 - 1*x + 7",
+        "Poly([Fraction(7, 1), Fraction(-1, 1), Fraction(0, 1), Fraction(0, 1), Fraction(-5, 1)])",
+    ),
+    ((F(1, 2), F(-1, 2)), "-1/2*x + 1/2", "Poly([Fraction(1, 2), Fraction(-1, 2)])"),
+    ((F(2, 3), F(4, 3)), "4/3*x + 2/3", "Poly([Fraction(2, 3), Fraction(4, 3)])"),
+    (
+        (F(1, 2), 0, F(-3, 4)),
+        "-3/4*x^2 + 1/2",
+        "Poly([Fraction(1, 2), Fraction(0, 1), Fraction(-3, 4)])",
+    ),
+]
+
+
+@pytest.mark.parametrize("coeffs, text, rep", POLY_TEXT)
+def test_poly_str_and_repr_are_pinned(coeffs, text, rep):
+    p = Poly(coeffs)
+    assert str(p) == text
+    assert repr(p) == rep

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from mkdv_a22.exact import ONE, X, Poly, RatFunc
+from mkdv_a22.exact import ONE, RF_ONE, RF_ZERO, X, Poly, RatFunc
 from mkdv_a22.loop import (
     CARTAN,
     REACH,
@@ -234,3 +234,63 @@ def test_dressing_conjugation_lowers_degree_by_at_most_reach():
             deepest[j] = max(deepest[j], delta - support[0])
     # the bound is attained, so REACH is no looser than it must be
     assert deepest == REACH
+
+
+# --- the constructor is the one place zero entries are dropped ---------------------
+
+
+def _no_zero_entries(m):
+    return all(isinstance(v, RatFunc) and not v.is_zero() for v in m.terms.values())
+
+
+def test_constructor_drops_zero_entries():
+    m = LaurentMat({(0, 0, 0): RF_ZERO, (1, 2, -1): rf(X), (2, 2, 3): rf(Poly(()))})
+    assert m.terms == {(1, 2, -1): rf(X)}
+    assert LaurentMat({(0, 1, 0): RF_ZERO}).is_zero()
+
+
+def test_sum_with_its_negative_has_no_terms():
+    rng = random.Random(5)
+    m = LaurentMat({(i, j, rng.randint(-2, 2)): rand_ratfunc(rng) for i in range(3) for j in range(3)})
+    total = m + (-m)
+    assert total.terms == {}
+    assert total == LaurentMat.zero()
+    assert (m - m).terms == {}
+
+
+def test_sum_drops_the_entry_that_cancels_and_keeps_the_other():
+    a = LaurentMat({(0, 0, 0): rf(X), (1, 2, 1): rf(ONE)})
+    b = LaurentMat({(0, 0, 0): rf(-X), (1, 2, 1): rf(ONE), (2, 0, -1): rf(X, X + 1)})
+    total = a + b
+    assert total.terms == {(1, 2, 1): rf(Poly((2,))), (2, 0, -1): rf(X, X + 1)}
+    assert _no_zero_entries(total)
+
+
+def test_product_drops_an_entry_whose_contributions_cancel():
+    # (e11 + e12)(e11 - e21 + e22): e11*e11 and e12*(-e21) cancel at (1,1),
+    # e12*e22 survives at (1,2)
+    e = LaurentMat.unit
+    left = e(0, 0) + e(0, 1)
+    right = e(0, 0) - e(1, 0) + e(1, 1)
+    prod = left * right
+    assert prod.terms == {(0, 1, 0): RF_ONE}
+    assert prod == e(0, 1)
+    assert _no_zero_entries(prod)
+
+
+@pytest.mark.parametrize("coeff", [3, -1, F(2, 7), X + 1, Poly((F(1, 2), 0, 5))])
+def test_unit_and_diag_lift_plain_coefficients(coeff):
+    lifted = RatFunc.lift(coeff)
+    m = LaurentMat.unit(1, 2, -1, coeff)
+    assert m == LaurentMat.unit(1, 2, -1, lifted)
+    assert m.terms == {(1, 2, -1): lifted}
+    assert _no_zero_entries(m)
+    d = diag_matrix((coeff, 0, F(1, 3)))
+    assert d == diag_matrix((lifted, RF_ZERO, RatFunc.lift(F(1, 3))))
+    assert d.terms == {(0, 0, 0): lifted, (2, 2, 0): RatFunc.lift(F(1, 3))}
+    assert _no_zero_entries(d)
+
+
+def test_unit_with_a_zero_coefficient_is_zero():
+    for zero in (0, F(0), Poly(()), RF_ZERO):
+        assert LaurentMat.unit(0, 2, 1, zero).is_zero()

@@ -334,3 +334,53 @@ def test_psdo_json():
     data = p.to_json()
     assert data["floor"] == -2
     assert data["terms"][0]["order"] == -1
+
+
+# --- the constructor is the one place zero and sub-floor terms are dropped ---------
+
+
+def test_sum_with_its_negative_keeps_the_floor_and_no_terms():
+    rng = random.Random(11)
+    p = PsDO({i: rand_ratfunc(rng) for i in range(-3, 3)}, floor=-3)
+    total = p + (-p)
+    assert total.terms == {}
+    assert total.floor == -3
+    assert total == PsDO({}, -3)
+    assert (p - p).terms == {}
+
+
+def test_sum_drops_the_order_that_cancels_and_keeps_the_other():
+    a = PsDO({2: rf(X), 0: rf(ONE)})
+    b = PsDO({2: rf(-X), -1: rf(X, X + 1)}, floor=-2)
+    total = a + b
+    assert total.terms == {0: rf(ONE), -1: rf(X, X + 1)}
+    assert total.floor == -2
+
+
+def test_constructor_drops_zero_and_sub_floor_terms():
+    p = PsDO({3: rf(ONE), 1: RatFunc(Poly(())), -1: rf(X), -4: rf(X)}, floor=-2)
+    assert p.terms == {3: rf(ONE), -1: rf(X)}
+
+
+@pytest.mark.parametrize("floor", [None, -5, -1, 2])
+def test_truncate_leaves_no_order_below_the_new_floor(floor):
+    rng = random.Random(13)
+    p = PsDO({i: rand_ratfunc(rng) for i in range(-4, 4)}, floor)
+    for f in range(-6, 6):
+        t = p.truncate(f)
+        new_floor = f if floor is None else max(f, floor)
+        assert t.floor == new_floor
+        assert all(i >= new_floor for i in t.terms)
+        assert t.terms == {i: c for i, c in p.terms.items() if i >= new_floor}
+
+
+def test_equality_sees_the_floor_and_values_stay_unhashable():
+    terms = {1: rf(ONE), -1: rf(X)}
+    a, b = PsDO(terms, floor=-2), PsDO(terms, floor=-3)
+    assert a == PsDO(dict(terms), floor=-2)
+    assert a != b
+    assert PsDO(terms) != a
+    assert a.__eq__(3) is NotImplemented
+    assert a != 3
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
