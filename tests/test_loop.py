@@ -247,6 +247,8 @@ def test_constructor_drops_zero_entries():
     m = LaurentMat({(0, 0, 0): RF_ZERO, (1, 2, -1): rf(X), (2, 2, 3): rf(Poly(()))})
     assert m.terms == {(1, 2, -1): rf(X)}
     assert LaurentMat({(0, 1, 0): RF_ZERO}).is_zero()
+    for zero in (0, F(0), Poly(()), RF_ZERO):
+        assert LaurentMat.unit(0, 2, 1, zero).is_zero()
 
 
 def test_sum_with_its_negative_has_no_terms():
@@ -289,8 +291,3 @@ def test_unit_and_diag_lift_plain_coefficients(coeff):
     assert d == diag_matrix((lifted, RF_ZERO, RatFunc.lift(F(1, 3))))
     assert d.terms == {(0, 0, 0): lifted, (2, 2, 0): RatFunc.lift(F(1, 3))}
     assert _no_zero_entries(d)
-
-
-def test_unit_with_a_zero_coefficient_is_zero():
-    for zero in (0, F(0), Poly(()), RF_ZERO):
-        assert LaurentMat.unit(0, 2, 1, zero).is_zero()
