@@ -153,14 +153,18 @@ class Poly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("Poly exponent must be a nonnegative integer")
-        result = ONE
-        base = self
-        while n:
+        if not n:
+            return ONE
+        # square only while bits of n remain; the first kept power is taken
+        # as it is, so p**4 forms p**2 and p**4 and nothing else
+        base, result = self, None
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __divmod__(self, other):
         o = Poly.lift(other)

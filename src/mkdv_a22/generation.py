@@ -44,7 +44,6 @@ from .exact import (
     RatFunc,
     _normal,
     _one_over,
-    log_derivative,
     poly_gcd,
     poly_to_json,
     rat_to_str,
@@ -214,12 +213,12 @@ def wronskian_solve(y: Poly, rhs: Poly, target_degree: int) -> Tuple[object, Pol
     return a, base
 
 
-def _step(pair: PolyPair, j: int, c) -> Tuple[PolyPair, object]:
+def _step(pair: PolyPair, j: int, c) -> Tuple[PolyPair, object, Poly]:
     target = degree_transform(pair.degrees(), j)[j]
     rhs = wronskian_rhs(pair, j)
     a, base = wronskian_solve(pair.component(j), rhs, target)
     new_component = base + pair.component(j) * c
-    return pair.with_component(j, new_component), a
+    return pair.with_component(j, new_component), a, rhs
 
 
 def generate_step(pair: PolyPair, j: int, c) -> PolyPair:
@@ -232,9 +231,10 @@ class GenerationTrace:
     """A full generation run: every intermediate pair plus the gauge data.
 
     pairs has length m+1 (from (1,1) to the final pair), gs[l] is the
-    logarithmic-derivative increment of the component changed at step l+1,
-    and consts[l] is the proportionality constant of that step's Wronskian
-    identity Wr(old, new) = a * rhs.
+    logarithmic-derivative increment (ln new/old)' of the component changed
+    at step l+1, and consts[l] is the proportionality constant a of that
+    step's Wronskian identity Wr(old, new) = a * rhs.  The identity gives
+    the increment without a log derivative: gs[l] = a * rhs / (old * new).
     """
 
     J: Tuple[int, ...]
@@ -269,10 +269,16 @@ def generate_multistep(j_seq: Sequence[int], c: Sequence) -> GenerationTrace:
     gs: List[RatFunc] = []
     consts: List = []
     for j, ci in zip(js, c):
-        new_pair, a = _step(pairs[-1], j, ci)
-        gs.append(
-            log_derivative(new_pair.component(j)) - log_derivative(pairs[-1].component(j))
-        )
+        old_pair = pairs[-1]
+        new_pair, a, rhs = _step(old_pair, j, ci)
+        # (ln new/old)' = Wr(old, new) / (old * new) = a * rhs / (old * new);
+        # old * new is monic and rhs a power of y_i, so the quotient is
+        # already reduced when y_i is prime to old * new
+        den = old_pair.component(j) * new_pair.component(j)
+        if poly_gcd(old_pair.component(1 - j), den).degree() == 0:
+            gs.append(RatFunc._raw(rhs * a, den))
+        else:
+            gs.append(RatFunc(rhs * a, den))
         consts.append(a)
         pairs.append(new_pair)
     trace = GenerationTrace(js, tuple(c), tuple(pairs), tuple(gs), tuple(consts))

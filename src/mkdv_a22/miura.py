@@ -78,10 +78,19 @@ def miura_from_pair(pair: PolyPair) -> MiuraOper:
 
 
 def miura_from_trace(trace: GenerationTrace) -> MiuraOper:
-    """d/dx + L1 - sum_l g_l * h_{j_l}, collapsed to the h0 coordinate."""
-    v = RF_ZERO
+    """d/dx + L1 - sum_l g_l * h_{j_l}, collapsed to the h0 coordinate.
+
+    The increments of each direction are summed apart: each partial sum
+    telescopes to (ln y_j)' of the current component y_j, so every addition
+    stays over the factors of one component instead of the mixed y0 * y1.
+    The two sums are combined once, weighted by the h0 coefficients.
+    """
+    sums = [RF_ZERO, RF_ZERO]
     for j, g in zip(trace.J, trace.gs):
-        v = v - g * _H0_COEFF[j]
+        sums[j] = sums[j] + g
+    v = RF_ZERO
+    for j, s in enumerate(sums):
+        v = v - s * _H0_COEFF[j]
     return MiuraOper(v)
 
 

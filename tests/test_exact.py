@@ -257,6 +257,40 @@ def test_poly_division_matches_sympy(a, b):
             a.divexact(b)
 
 
+# zero, nonzero constants, and the non-monic, large-content polynomials of WIDE
+POWER_BASES = st.one_of(
+    st.just(Poly()),
+    st.builds(lambda c: Poly([c]), st.one_of(RATS.filter(bool), CONTENTS)),
+    WIDE,
+)
+
+
+@seed(20261020)
+@PROPERTY
+@given(POWER_BASES, st.integers(0, 9))
+def test_poly_power_matches_repeated_multiplication(p, n):
+    want = ONE
+    for _ in range(n):
+        want = want * p
+    got = p**n
+    assert_canonical(got)
+    assert got == want
+
+
+def test_poly_power_forms_only_the_products_it_keeps(monkeypatch):
+    calls = []
+    convolve = exact._convolve
+    monkeypatch.setattr(exact, "_convolve", lambda a, b: calls.append(1) or convolve(a, b))
+    p = Poly([F(-3, 2), 5, F(7, 3)])
+    # p**2 and p**4 by squaring, and no p**8 past the top bit of 4
+    p4 = p**4
+    assert len(calls) == 2
+    calls.clear()
+    p1, p0 = p**1, p**0
+    assert calls == []
+    assert p4 == p * p * p * p and p1 == p and p0 == ONE
+
+
 # --- RatFunc arithmetic against sympy's cancel ------------------------------------
 
 FACTORS = st.one_of(REPEATED, SMALL.filter(lambda p: p.degree() > 0), st.just(ONE))

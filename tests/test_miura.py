@@ -5,8 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 import sympy as sp
+from hypothesis import given, seed, settings, strategies as st
 
-from mkdv_a22.exact import ONE, RF_ONE, RF_ZERO, X, Poly, RatFunc
+from mkdv_a22.exact import ONE, RF_ONE, RF_ZERO, X, Poly, RatFunc, log_derivative, poly_gcd
 from mkdv_a22.generation import PolyPair, generate_multistep, sample_c
 from mkdv_a22.miura import (
     MiuraOper,
@@ -93,6 +94,53 @@ def test_gauge_step_and_replay():
             assert ricatti_check(oper, g, j)
             oper = gauge_step(oper, g, j)
         assert oper.v == miura_from_trace(t).v
+
+
+# --- gauge increments from the Wronskian identity ------------------------------------
+
+# 0 and a few small values, so repeats and non-generic steps come up often
+GAUGE_CS = st.sampled_from([F(0), F(1), F(-1), F(2), F(-2), F(1, 2), F(-3, 4)])
+
+
+@st.composite
+def alternating_runs(draw):
+    n = draw(st.integers(1, 6))
+    first = draw(st.integers(0, 1))
+    js = tuple((first + k) % 2 for k in range(n))
+    return js, tuple(draw(st.lists(GAUGE_CS, min_size=n, max_size=n)))
+
+
+def check_gauge_increments(t):
+    """Each g_l is the log-derivative step of its component, solves the
+    Riccati equation of the oper before it, and the g's sum to the oper of
+    the final pair."""
+    for l, (j, g) in enumerate(zip(t.J, t.gs)):
+        old, new = t.pairs[l], t.pairs[l + 1]
+        assert g == log_derivative(new.component(j)) - log_derivative(old.component(j))
+        assert ricatti_check(miura_from_pair(old), g, j)
+    assert miura_from_trace(t) == miura_from_pair(t.final)
+
+
+@seed(20261020)
+@settings(max_examples=150, deadline=None, database=None)
+@given(alternating_runs())
+def test_gauge_increments_are_log_derivative_steps(run):
+    check_gauge_increments(generate_multistep(*run))
+
+
+@pytest.mark.parametrize(
+    "js, c",
+    [((0, 1), (0, 0)), ((0, 1), (1, 1)), ((1, 0), (-1, -1)), ((0, 1, 0), (-2, 0, 0))],
+)
+def test_gauge_increment_reduces_at_non_generic_points(js, c):
+    t = generate_multistep(js, tuple(F(ci) for ci in c))
+    check_gauge_increments(t)
+    j = js[-1]
+    old, new = t.pairs[-2].component(j), t.pairs[-1].component(j)
+    # the last step's y_i shares a root with old * new, so the quotient
+    # a * rhs / (old * new) is not in lowest terms and has to be reduced
+    assert poly_gcd(t.pairs[-1].component(1 - j), old * new).degree() > 0
+    assert t.gs[-1].den != old * new
 
 
 # --- scalar reductions ----------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Each demo is run in-process as ``__main__``; each verify suite except ``kdv``
 (its diagram is already covered by the kdv-check golden hashes) is run
-through ``cli.main`` with a fixed seed and one sample.  Any change to what
-these print, down to one byte, fails here.
+through ``cli.main`` with a fixed seed and one sample, and so are
+``generate`` and ``miura`` on alternating words of length 11 and 13, past
+the length-7 words of the benchmark case lists.  Any change to what these
+print, down to one byte, fails here.
 """
 
 import hashlib
@@ -36,6 +38,16 @@ VERIFY_HASHES = {
 }
 
 
+# generate and miura on alternating words longer than any case list reaches,
+# c a prefix of LONG_C
+LONG_C = "3,-1/2,2,1/3,-2,5/4,1,7,2,-7/3,9/4,5,-3".split(",")
+LONG_WORD_HASHES = {
+    ("generate", 11): "67ad0852b9c73ddeeda14398fb26213e9f04264557ad08e042b78a1382a48ca8",
+    ("miura", 11): "6c38a10ea8773cf87e5285211c1c5f6784ac9881a008ed302b647a6fecc47aad",
+    ("miura", 13): "ba6e0864937a2fb58694e9b26ff8e381726f06961e344fe5406d6394ca119e03",
+}
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -55,3 +67,13 @@ def test_verify_json_matches_recorded_hash(suite):
         code = cli.main(["verify", suite, "--seed", "7", "--samples", "1", "--json"])
     assert code == 0
     assert _sha256(out.getvalue()) == VERIFY_HASHES[suite]
+
+
+@pytest.mark.parametrize("command, length", sorted(LONG_WORD_HASHES))
+def test_long_word_output_matches_recorded_hash(command, length):
+    word = ",".join(str(k % 2) for k in range(length))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main([command, word, "--c=" + ",".join(LONG_C[:length])])
+    assert code == 0
+    assert _sha256(out.getvalue()) == LONG_WORD_HASHES[command, length]
