@@ -142,8 +142,11 @@ def cmd_verify(args) -> int:
             for line in rep.lines():
                 print(line)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write the report to {args.output!r}: {exc.strerror}")
     return 0 if all(r.ok for r in reports) else 1
 
 
@@ -190,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--r",
         type=int,
         required=True,
-        help="flow index, 1 or 5 mod 6; the cost grows steeply with r and is mostly the"
-        " cube-root solve (kdv-check 0 --c 1 --r 25 takes about 0.4 s, --r 49 about 3 s)",
+        help="flow index, 1 or 5 mod 6; the cost grows roughly as r**4 and is mostly the"
+        " cube-root solve",
     )
     p.add_argument("--i", type=int, default=None, help="scalar map index (default: all)")
     p.add_argument("--json", action="store_true", help="accepted for uniformity; always JSON")

@@ -424,10 +424,11 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
+    """Monic least common multiple a * (b/g), with b/g the cofactor that
+    ``_gcd_cofactors`` hands back; lcm(a, 0) = 0."""
     if a.is_zero() or b.is_zero():
         return Poly()
-    g = poly_gcd(a, b)
-    return (a * b.divexact(g)).monic()
+    return (a * _gcd_cofactors(a, b)[2]).monic()
 
 
 class RatFunc:

@@ -13,16 +13,13 @@ sum-zero triple (v, 0, -v), and the three ordered factorizations
     L_2 = (d - v2)(d - v1)(d - v3)
 
 produce third-order operators d^3 + u1*d + u0 (the d^2 coefficient cancels
-because the triple sums to zero).  Their derivative maps restricted to
-tangents X*h0 collapse to the closed forms
+because the triple sums to zero).  The maps are products of first-order
+``PsDO`` factors d - v_k; their derivatives along a sum-zero tangent take
+orders 1 and 0 of the product rule over those factors, and the derivative
+along X*h0 is the product rule at the tangent (X, 0, -X).
 
-    dm0 : X -> -(2X' + 2vX) d - (X'' + vX' + v'X)
-    dm1 : X -> (X' - 2vX) d
-
-which are also available for arbitrary sum-zero tangents via the product
-rule over the ordered factors.  The maps are products of first-order
-``PsDO`` factors d - v_k; their derivatives take orders 1 and 0 of the
-product rule in closed form.
+The oper of a generation run is read off its final pair, since the gauge
+increments of the run telescope to v.
 
 The mKdV-to-KdV diagram closes here: the mKdV flow value X*h0 pushed
 through the derivative of a scalar map must equal the KdV flow
@@ -80,18 +77,10 @@ def miura_from_pair(pair: PolyPair) -> MiuraOper:
 def miura_from_trace(trace: GenerationTrace) -> MiuraOper:
     """d/dx + L1 - sum_l g_l * h_{j_l}, collapsed to the h0 coordinate.
 
-    The increments of each direction are summed apart: each partial sum
-    telescopes to (ln y_j)' of the current component y_j, so every addition
-    stays over the factors of one component instead of the mixed y0 * y1.
-    The two sums are combined once, weighted by the h0 coefficients.
+    The increments of each direction telescope to (ln y_j)' of the final
+    component y_j, so the sum is the oper of the final pair.
     """
-    sums = [RF_ZERO, RF_ZERO]
-    for j, g in zip(trace.J, trace.gs):
-        sums[j] = sums[j] + g
-    v = RF_ZERO
-    for j, s in enumerate(sums):
-        v = v - s * _H0_COEFF[j]
-    return MiuraOper(v)
+    return miura_from_pair(trace.final)
 
 
 def alpha_pairing(j: int, oper: MiuraOper) -> RatFunc:
@@ -143,16 +132,12 @@ def miura_map(i: int, oper: MiuraOperA1) -> DiffOp3:
 
 
 def d_miura_map(i: int, oper: MiuraOper, x_comp: RatFunc) -> OpTangent:
-    """Derivative of the i-th scalar map along the tangent X*h0, i in {0, 1}."""
+    """Derivative of the i-th scalar map along the tangent X*h0, i in {0, 1}:
+    the product rule of ``d_miura_map_a1`` at the tangent (X, 0, -X)."""
+    if i not in (0, 1):
+        raise ValueError("d_miura_map takes maps 0 and 1; use d_miura_map_a1 for map 2")
     x = RatFunc.lift(x_comp)
-    v = oper.v
-    if i == 0:
-        u1 = -(x.derivative() * 2 + v * x * 2)
-        u0 = -(x.derivative().derivative() + v * x.derivative() + v.derivative() * x)
-        return OpTangent(u1, u0)
-    if i == 1:
-        return OpTangent(x.derivative() - v * x * 2, RF_ZERO)
-    raise ValueError("closed forms exist for maps 0 and 1 only")
+    return d_miura_map_a1(i, embed_a1(oper), (x, RF_ZERO, -x))
 
 
 def d_miura_map_a1(

@@ -119,6 +119,29 @@ def test_verify_rejects_an_infinite_tolerance(capsys, tolerance):
     assert (code, out, err) == (2, "", "error: tolerance must be finite\n")
 
 
+@pytest.mark.parametrize(
+    "target, reason",
+    [("missing/report.json", "No such file or directory"), (".", "Is a directory")],
+)
+def test_verify_output_that_cannot_be_written_is_a_usage_error(tmp_path, target, reason):
+    # a fresh interpreter, so an escaping OSError would show as a traceback
+    path = str(tmp_path / target)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from mkdv_a22.cli import main\n"
+        "sys.exit(main(sys.argv[2:]))\n"
+    )
+    argv = ["verify", "degrees", "--output", path]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, src, *argv], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: cannot write the report to {path!r}: {reason}\n"
+
+
 def test_verify_seeded_suite_byte_identical(capsys):
     args = ("verify", "loop", "--seed", "5", "--samples", "2", "--json")
     _, out1, _ = run_cli(capsys, *args)

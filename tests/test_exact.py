@@ -257,6 +257,53 @@ def test_poly_division_matches_sympy(a, b):
             a.divexact(b)
 
 
+NONZERO_CONSTANTS = st.builds(lambda c: Poly([c]), st.one_of(RATS.filter(bool), CONTENTS))
+DISTINCT_ROOTS = st.lists(
+    st.fractions(min_value=-5, max_value=5, max_denominator=3), min_size=2, max_size=2, unique=True
+)
+# each kind of operand pair, then scaled by large contents so neither is monic
+LCM_PAIRS = st.builds(
+    lambda pair, s, t: (pair[0] * s, pair[1] * t),
+    st.one_of(
+        st.builds(lambda a: (a, a), WIDE),
+        st.builds(lambda a, b: (a, a * b), NONZERO, SMALL),
+        st.builds(lambda a, b: (a * b, b), SMALL, NONZERO),
+        st.builds(lambda g, a, b: (g * a, g * b), REPEATED, SMALL, SMALL),
+        st.builds(
+            lambda r, k, l: ((X - r[0]) ** k, (X - r[1]) ** l),
+            DISTINCT_ROOTS,
+            st.integers(1, 3),
+            st.integers(1, 3),
+        ),
+        st.tuples(NONZERO_CONSTANTS, WIDE),
+        st.tuples(WIDE, NONZERO_CONSTANTS),
+        st.tuples(POLYS, POLYS),
+    ),
+    CONTENTS,
+    CONTENTS,
+)
+
+
+def test_poly_lcm_matches_sympy(gcd_path):
+    path, steps = gcd_path
+
+    @seed(20261021)
+    @PROPERTY
+    @given(LCM_PAIRS)
+    def check(pair):
+        a, b = pair
+        got = poly_lcm(a, b)
+        if a.is_zero() or b.is_zero():
+            # sympy's lcm over QQ divides by the gcd, so zero stays ours alone
+            assert got.is_zero()
+            return
+        assert got.is_monic()
+        assert same(got, sp.lcm(to_sympy(a), to_sympy(b)).monic())
+
+    check()
+    assert bool(steps) == (path == "prs-fallback")
+
+
 # zero, nonzero constants, and the non-monic, large-content polynomials of WIDE
 POWER_BASES = st.one_of(
     st.just(Poly()),

@@ -29,9 +29,7 @@ from mkdv_a22.loop import (
     lambda_power,
 )
 
-
-def rf(num, den=None):
-    return RatFunc(num) if den is None else RatFunc(num, den)
+from helpers import rf
 
 
 def test_dressing_product_shapes():

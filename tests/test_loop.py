@@ -21,15 +21,7 @@ from mkdv_a22.loop import (
     lambda_recompose,
 )
 
-
-def rf(num, den=None):
-    return RatFunc(num) if den is None else RatFunc(num, den)
-
-
-def rand_ratfunc(rng):
-    num = Poly([F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)])
-    den = Poly([F(rng.randint(-9, 9), rng.randint(1, 4)), F(1)])
-    return rf(num if not num.is_zero() else ONE, den)
+from helpers import rand_ratfunc, rf
 
 
 def test_cartan_data():
@@ -105,7 +97,7 @@ def test_exp_dressing_shapes():
 def test_exp_dressing_inverses():
     rng = random.Random(13)
     for _ in range(5):
-        g = rand_ratfunc(rng)
+        g = rand_ratfunc(rng, 2, 1)
         for j in (0, 1):
             assert exp_dressing(g, j) * exp_dressing(-g, j) == LaurentMat.identity()
 
@@ -120,7 +112,7 @@ def test_grade_project():
     # homogeneous pieces add back to the whole
     rng = random.Random(14)
     m = LaurentMat(
-        {(rng.randint(0, 2), rng.randint(0, 2), rng.randint(-2, 2)): rand_ratfunc(rng) for _ in range(7)}
+        {(rng.randint(0, 2), rng.randint(0, 2), rng.randint(-2, 2)): rand_ratfunc(rng, 2, 1) for _ in range(7)}
     )
     total = LaurentMat.zero()
     for d in grade_support(m):
@@ -170,7 +162,7 @@ def test_lambda_decompose_round_trip_and_b0():
     for _ in range(8):
         m = LaurentMat(
             {
-                (rng.randint(0, 2), rng.randint(0, 2), rng.randint(-2, 2)): rand_ratfunc(rng)
+                (rng.randint(0, 2), rng.randint(0, 2), rng.randint(-2, 2)): rand_ratfunc(rng, 2, 1)
                 for _ in range(6)
             }
         )
@@ -208,7 +200,7 @@ def rand_homogeneous(rng, delta):
     """Random matrix of principal degree delta: 3e + i - j = delta fixes e."""
     return LaurentMat(
         {
-            (i, j, (delta - i + j) // 3): rand_ratfunc(rng)
+            (i, j, (delta - i + j) // 3): rand_ratfunc(rng, 2, 1)
             for i in range(3)
             for j in range(3)
             if (delta - i + j) % 3 == 0 and rng.random() < 0.8
@@ -225,7 +217,7 @@ def test_dressing_conjugation_lowers_degree_by_at_most_reach():
     for case in range(120):
         j = case % 2
         delta = rng.randint(-7, 7)
-        g = rand_ratfunc(rng)
+        g = rand_ratfunc(rng, 2, 1)
         m = rand_homogeneous(rng, delta)
         full = exp_dressing(g, j) * m * exp_dressing(-g, j)
         support = grade_support(full)
@@ -253,7 +245,7 @@ def test_constructor_drops_zero_entries():
 
 def test_sum_with_its_negative_has_no_terms():
     rng = random.Random(5)
-    m = LaurentMat({(i, j, rng.randint(-2, 2)): rand_ratfunc(rng) for i in range(3) for j in range(3)})
+    m = LaurentMat({(i, j, rng.randint(-2, 2)): rand_ratfunc(rng, 2, 1) for i in range(3) for j in range(3)})
     total = m + (-m)
     assert total.terms == {}
     assert total == LaurentMat.zero()

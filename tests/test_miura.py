@@ -24,9 +24,7 @@ from mkdv_a22.miura import (
 )
 from mkdv_a22.psdo import PsDO
 
-
-def rf(num, den=None):
-    return RatFunc(num) if den is None else RatFunc(num, den)
+from helpers import rand_ratfunc, rf
 
 
 def to_sympy(r: RatFunc, x):
@@ -113,12 +111,15 @@ def alternating_runs(draw):
 def check_gauge_increments(t):
     """Each g_l is the log-derivative step of its component, solves the
     Riccati equation of the oper before it, and the g's sum to the oper of
-    the final pair."""
+    the final pair: v = -sum_l g_l * (h_{j_l} in h0 units), with h0 = 1 * h0
+    and h1 = -2 * h0."""
+    v = RF_ZERO
     for l, (j, g) in enumerate(zip(t.J, t.gs)):
         old, new = t.pairs[l], t.pairs[l + 1]
         assert g == log_derivative(new.component(j)) - log_derivative(old.component(j))
         assert ricatti_check(miura_from_pair(old), g, j)
-    assert miura_from_trace(t) == miura_from_pair(t.final)
+        v = v - g * (1 if j == 0 else -2)
+    assert v == miura_from_pair(t.final).v
 
 
 @seed(20261020)
@@ -207,6 +208,20 @@ def test_d_miura_map_closed_forms():
     u1_b, u0_b = d_miura_map(1, oper, x_comp)
     assert u1_b == x_comp.derivative() - v * x_comp * 2
     assert u0_b.is_zero()
+    # the closed forms along X*h0, written out here as the reference:
+    #   dm0 : X -> -(2X' + 2vX) d - (X'' + vX' + v'X)
+    #   dm1 : X -> (X' - 2vX) d
+    rng = random.Random(35)
+    for _ in range(12):
+        v = rand_ratfunc(rng, rng.randint(0, 3), rng.randint(0, 2))
+        x = rand_ratfunc(rng, rng.randint(0, 3), rng.randint(0, 2))
+        dx, dv = x.derivative(), v.derivative()
+        oper = MiuraOper(v)
+        assert d_miura_map(0, oper, x) == (
+            -(dx * 2 + v * x * 2),
+            -(dx.derivative() + v * dx + dv * x),
+        )
+        assert d_miura_map(1, oper, x) == (dx - v * x * 2, RF_ZERO)
 
 
 def test_d_miura_map_kernels():

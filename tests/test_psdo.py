@@ -23,15 +23,7 @@ from mkdv_a22.psdo import (
     psdo_mul,
 )
 
-
-def rf(num, den=None):
-    return RatFunc(num) if den is None else RatFunc(num, den)
-
-
-def rand_ratfunc(rng, num_deg=2, den_deg=2):
-    num = Poly([F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(num_deg + 1)])
-    den = Poly([F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(den_deg)] + [F(1)])
-    return rf(num if not num.is_zero() else ONE, den)
+from helpers import rand_ratfunc, rf
 
 
 # --- composition -------------------------------------------------------------------
