@@ -10,7 +10,7 @@ value at the image operator, coefficient by coefficient.
 import random
 from fractions import Fraction
 
-from mkdv_a22.generation import generate_multistep, sample_c
+from mkdv_a22.generation import generate_multistep, sample_trace
 from mkdv_a22.miura import consistency_check, embed_a1, miura_from_trace, miura_map
 from mkdv_a22.psdo import cube_root, from_diffop3, kdv_field
 
@@ -37,8 +37,7 @@ def main():
     rng = random.Random(7)
     print("\nConsistency of the two flow computations (exact equality):")
     for word in ((), (0,), (1,), (0, 1), (1, 0), (0, 1, 0)):
-        c = sample_c(word, rng) if word else ()
-        trace = generate_multistep(word, c)
+        trace = sample_trace(word, rng)
         verdicts = [
             consistency_check(trace, r, i) for r in (1, 5) for i in (0, 1, 2)
         ]

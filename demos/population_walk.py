@@ -20,7 +20,7 @@ from mkdv_a22.generation import (
     generate_multistep,
     is_fertile,
     is_generic,
-    sample_c,
+    sample_trace,
     wronskian_rhs,
 )
 
@@ -35,9 +35,8 @@ def main():
 
     rng = random.Random(2024)
     word = (0, 1, 0, 1)
-    c = sample_c(word, rng)
-    print(f"\nFour steps along {word} at c = {tuple(str(x) for x in c)}:")
-    trace = generate_multistep(word, c)
+    trace = sample_trace(word, rng)
+    print(f"\nFour steps along {word} at c = {tuple(str(x) for x in trace.c)}:")
     for step, (j, a) in enumerate(zip(trace.J, trace.consts)):
         old, new = trace.pairs[step], trace.pairs[step + 1]
         identity = wronskian(old.component(j), new.component(j)) == wronskian_rhs(old, j) * a
@@ -50,8 +49,7 @@ def main():
 
     print("\nNumeric check of the critical equations at the roots:")
     for word in ((0,), (0, 1), (1, 0), (0, 1, 0), (0, 1, 0, 1)):
-        c = sample_c(word, rng)
-        pair = generate_multistep(word, c).final
+        pair = sample_trace(word, rng).final
         rep = bethe_residuals(pair, 1e-8)
         k = pair.degrees()
         print(

@@ -36,11 +36,7 @@ from .verify import RunConfig, SUITES
 def _parse_word(text: Optional[str]) -> tuple:
     if not text:
         return ()
-    try:
-        entries = tuple(int(t) for t in text.split(","))
-        return check_basic(entries)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return check_basic(tuple(int(t) for t in text.split(",")))
 
 
 def _parse_params(text: Optional[str], expected: int) -> tuple:
@@ -60,6 +56,12 @@ class UsageError(ValueError):
     """A malformed command line; reported like any ``ValueError`` (exit 2)."""
 
 
+def _family(args) -> tuple:
+    """The word J and the parameters c of a family command."""
+    word = _parse_word(args.J)
+    return word, _parse_params(args.c, len(word))
+
+
 def _dump(data: dict) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ": "), indent=1)
 
@@ -77,32 +79,25 @@ def cmd_degrees(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    word = _parse_word(args.J)
-    c = _parse_params(args.c, len(word))
-    trace = generate_multistep(word, c)
+    trace = generate_multistep(*_family(args))
     print(_dump(trace.to_json()))
     return 0
 
 
 def cmd_flow(args) -> int:
-    word = _parse_word(args.J)
-    c = _parse_params(args.c, len(word))
-    sample = flow_sample(word, c, args.r)
+    sample = flow_sample(*_family(args), args.r)
     print(_dump(sample.to_json()))
     return 0
 
 
 def cmd_miura(args) -> int:
-    word = _parse_word(args.J)
-    c = _parse_params(args.c, len(word))
-    oper = miura_from_trace(generate_multistep(word, c))
+    oper = miura_from_trace(generate_multistep(*_family(args)))
     print(_dump(oper.to_json()))
     return 0
 
 
 def cmd_kdv_check(args) -> int:
-    word = _parse_word(args.J)
-    c = _parse_params(args.c, len(word))
+    word, c = _family(args)
     check_r(args.r)
     if args.i not in (None, 0, 1, 2):
         raise UsageError("scalar map index must be 0, 1, or 2")
@@ -167,28 +162,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_degrees)
 
-    p = sub.add_parser("generate", help="run the Wronskian generation, print the trace")
-    p.add_argument("J", nargs="?", default="")
-    p.add_argument("--c", default="", help=_C_HELP)
-    p.add_argument("--json", action="store_true", help="accepted for uniformity; always JSON")
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("J", nargs="?", default="")
+    family.add_argument("--c", default="", help=_C_HELP)
+    json_help = "accepted for uniformity; always JSON"
+
+    p = sub.add_parser(
+        "generate", parents=[family], help="run the Wronskian generation, print the trace"
+    )
+    p.add_argument("--json", action="store_true", help=json_help)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("flow", help="evaluate one mKdV flow on a generated family")
-    p.add_argument("J", nargs="?", default="")
-    p.add_argument("--c", default="", help=_C_HELP)
+    p = sub.add_parser(
+        "flow", parents=[family], help="evaluate one mKdV flow on a generated family"
+    )
     p.add_argument("--r", type=int, required=True, help="flow index, 1 or 5 mod 6")
-    p.add_argument("--json", action="store_true", help="accepted for uniformity; always JSON")
+    p.add_argument("--json", action="store_true", help=json_help)
     p.set_defaults(func=cmd_flow)
 
-    p = sub.add_parser("miura", help="print the Miura oper attached to a generated pair")
-    p.add_argument("J", nargs="?", default="")
-    p.add_argument("--c", default="", help=_C_HELP)
-    p.add_argument("--json", action="store_true", help="accepted for uniformity; always JSON")
+    p = sub.add_parser(
+        "miura", parents=[family], help="print the Miura oper attached to a generated pair"
+    )
+    p.add_argument("--json", action="store_true", help=json_help)
     p.set_defaults(func=cmd_miura)
 
-    p = sub.add_parser("kdv-check", help="mKdV/KdV consistency through the scalar maps")
-    p.add_argument("J", nargs="?", default="")
-    p.add_argument("--c", default="", help=_C_HELP)
+    p = sub.add_parser(
+        "kdv-check", parents=[family], help="mKdV/KdV consistency through the scalar maps"
+    )
     p.add_argument(
         "--r",
         type=int,
@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         " cube-root solve",
     )
     p.add_argument("--i", type=int, default=None, help="scalar map index (default: all)")
-    p.add_argument("--json", action="store_true", help="accepted for uniformity; always JSON")
+    p.add_argument("--json", action="store_true", help=json_help)
     p.set_defaults(func=cmd_kdv_check)
 
     p = sub.add_parser("verify", help="run a verification suite")

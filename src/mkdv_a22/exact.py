@@ -34,12 +34,11 @@ class Poly:
     ``ints == ()`` and ``cont == 0``.  The form is unique, so equality
     compares one tuple and one Fraction.  The rest of the package reads this
     integer form only.  ``coeffs`` is the Fraction view
-    ``coeffs[i] == cont * ints[i]``, built on first use and kept for callers
-    outside the engine; it has no trailing zero and
-    ``degree() == len(coeffs) - 1``.
+    ``coeffs[i] == cont * ints[i]``, built on each read for callers outside
+    the engine; it has no trailing zero and ``degree() == len(coeffs) - 1``.
     """
 
-    __slots__ = ("cont", "ints", "_coeffs")
+    __slots__ = ("cont", "ints")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = list(coeffs)
@@ -62,13 +61,8 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple:
-        try:
-            return self._coeffs
-        except AttributeError:
-            cont = self.cont
-            view = tuple(c * cont for c in self.ints)
-            object.__setattr__(self, "_coeffs", view)
-            return view
+        cont = self.cont
+        return tuple(c * cont for c in self.ints)
 
     @staticmethod
     def lift(p) -> "Poly":
@@ -543,16 +537,6 @@ class RatFunc:
         if o.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
         return self * RatFunc(o.den, o.num)
-
-    def __rtruediv__(self, other):
-        return RatFunc.lift(other) / self
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise ValueError("RatFunc exponent must be an integer")
-        if n < 0:
-            return RatFunc.one() / (self ** (-n))
-        return RatFunc(self.num ** n, self.den ** n)
 
     def derivative(self) -> "RatFunc":
         n, d = self.num, self.den

@@ -382,8 +382,8 @@ def sample_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
 
 
-def sample_c(j_seq: Sequence[int], rng: random.Random) -> Tuple[Fraction, ...]:
-    """Draw generation parameters that produce a generic trace.
+def sample_trace(j_seq: Sequence[int], rng: random.Random) -> GenerationTrace:
+    """Draw generation parameters that produce a generic trace; return it.
 
     Degenerate draws are rare, so rejection sampling converges immediately
     in practice; the bound of 50 tries only guards against misuse.
@@ -396,5 +396,10 @@ def sample_c(j_seq: Sequence[int], rng: random.Random) -> Tuple[Fraction, ...]:
         except InfertileError:
             continue
         if all(is_generic(p) for p in trace.pairs):
-            return c
+            return trace
     raise ArithmeticError(f"could not sample parameters for {js} in 50 tries")
+
+
+def sample_c(j_seq: Sequence[int], rng: random.Random) -> Tuple[Fraction, ...]:
+    """The parameters of ``sample_trace(j_seq, rng)``."""
+    return sample_trace(j_seq, rng).c

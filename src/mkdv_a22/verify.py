@@ -31,6 +31,7 @@ from .generation import (
     bethe_residuals,
     sample_c,
     sample_rational,
+    sample_trace,
     wronskian_rhs,
 )
 from .loop import (
@@ -241,8 +242,7 @@ def verify_generation(config: RunConfig) -> SuiteReport:
     rng = random.Random(config.seed)
     for j_seq in basic_words([1, 2, 3, 4]):
         for s in range(config.samples):
-            c = sample_c(j_seq, rng)
-            trace = generate_multistep(j_seq, c)
+            trace = sample_trace(j_seq, rng)
             ok = True
             for step, (j, a) in enumerate(zip(trace.J, trace.consts)):
                 old, new = trace.pairs[step], trace.pairs[step + 1]
@@ -252,9 +252,9 @@ def verify_generation(config: RunConfig) -> SuiteReport:
             ok = ok and trace.final.degrees() == degree_vector(j_seq)
             ok = ok and is_generic(trace.final) and is_fertile(trace.final)
             rep.add(f"trace invariants J={j_seq} sample {s}", ok)
-        c1 = sample_c(j_seq, rng)
-        c2 = tuple(ci + 1 for ci in c1)
-        distinct = generate_multistep(j_seq, c1).final != generate_multistep(j_seq, c2).final
+        trace = sample_trace(j_seq, rng)
+        c2 = tuple(ci + 1 for ci in trace.c)
+        distinct = trace.final != generate_multistep(j_seq, c2).final
         rep.add(f"distinct parameters, distinct pairs J={j_seq}", distinct)
     return rep
 
@@ -263,8 +263,7 @@ def verify_miura(config: RunConfig) -> SuiteReport:
     rep = SuiteReport("miura", config.seed)
     rng = random.Random(config.seed)
     for j_seq in basic_words([1, 2, 3, 4]):
-        c = sample_c(j_seq, rng)
-        trace = generate_multistep(j_seq, c)
+        trace = sample_trace(j_seq, rng)
         rep.add(
             f"oper from trace equals oper from pair J={j_seq}",
             miura_from_trace(trace).v == miura_from_pair(trace.final).v,
@@ -278,13 +277,10 @@ def verify_miura(config: RunConfig) -> SuiteReport:
         rep.add(f"gauge replay along the trace J={j_seq}", ok)
 
     for j_seq in basic_words([2, 3, 4]):
-        c = list(sample_c(j_seq, rng))
+        trace = sample_trace(j_seq, rng)
+        shifted = generate_multistep(j_seq, trace.c[:-1] + (trace.c[-1] + 1,))
         i_map = 1 if j_seq[-1] == 0 else 0
-        images = []
-        for delta in (0, 1):
-            c[-1] = c[-1] + delta
-            tr = generate_multistep(j_seq, c)
-            images.append(miura_map(i_map, embed_a1(miura_from_trace(tr))))
+        images = [miura_map(i_map, embed_a1(miura_from_trace(t))) for t in (trace, shifted)]
         rep.add(
             f"scalar map {i_map} forgets the last parameter J={j_seq}",
             images[0] == images[1],
@@ -292,8 +288,7 @@ def verify_miura(config: RunConfig) -> SuiteReport:
 
     ok = True
     for j_seq in basic_words([1, 2, 3])[:5]:
-        c = sample_c(j_seq, rng)
-        pair = generate_multistep(j_seq, c).final
+        pair = sample_trace(j_seq, rng).final
         oper = miura_from_pair(pair)
         k0 = d_miura_map(0, oper, RatFunc(pair.y0, pair.y1 ** 2))
         k1 = d_miura_map(1, oper, RatFunc(pair.y1 ** 4, pair.y0 ** 2))
@@ -307,8 +302,7 @@ def verify_flows(config: RunConfig) -> SuiteReport:
     rng = random.Random(config.seed)
     for j_seq in basic_words([1, 2, 3, 4]):
         for s in range(config.samples):
-            c = sample_c(j_seq, rng)
-            trace = generate_multistep(j_seq, c)
+            trace = sample_trace(j_seq, rng)
             tangents = None
             for r in (1, 5, 7, 11, 13):
                 fld = mkdv_field(trace, r)
@@ -341,8 +335,7 @@ def verify_flows(config: RunConfig) -> SuiteReport:
     # dividing out the recorded Wronskian constant
     ok = True
     for j_seq in basic_words([1, 2, 3]):
-        c = sample_c(j_seq, rng)
-        trace = generate_multistep(j_seq, c)
+        trace = sample_trace(j_seq, rng)
         tangent = family_tangents(trace)[-1]
         a = trace.consts[-1] * (1 if j_seq[-1] == 0 else -2)
         coeffs = laurent_at_infinity(tangent * (Fraction(1) / a), 12)
@@ -433,8 +426,7 @@ def verify_kdv(config: RunConfig) -> SuiteReport:
 
     for j_seq in basic_words([0, 1, 2, 3]):
         for s in range(min(config.samples, 2)):
-            c = sample_c(j_seq, rng) if j_seq else ()
-            trace = generate_multistep(j_seq, c)
+            trace = sample_trace(j_seq, rng)
             for r in (1, 5):
                 ok = all(consistency_check(trace, r, i) for i in (0, 1, 2))
                 rep.add(f"flow/scalar-flow consistency J={j_seq} r={r} sample {s}", ok)
@@ -445,8 +437,7 @@ def verify_bethe(config: RunConfig) -> SuiteReport:
     rep = SuiteReport("bethe", config.seed)
     rng = random.Random(config.seed)
     for j_seq in ((0,), (0, 1), (1, 0), (0, 1, 0), (0, 1, 0, 1)):
-        c = sample_c(j_seq, rng)
-        pair = generate_multistep(j_seq, c).final
+        pair = sample_trace(j_seq, rng).final
         report = bethe_residuals(pair, config.tolerance)
         rep.add(
             f"critical-equation residuals J={j_seq} degrees {tuple(pair.degrees())}",

@@ -24,6 +24,7 @@ from mkdv_a22.generation import (
     is_fertile,
     is_generic,
     sample_c,
+    sample_trace,
     wronskian_rhs,
     wronskian_solve,
 )
@@ -302,6 +303,24 @@ def test_generated_pairs_are_fertile_and_generic():
         pair = generate_multistep(j_seq, c).final
         assert is_fertile(pair)
         assert is_generic(pair)
+
+
+@pytest.mark.parametrize("s", [0, 1, 7, 2024])
+def test_sample_trace_is_the_generation_run_of_sample_c(s):
+    for j_seq in ((), (0,), (1,), (0, 1), (1, 0, 1), (0, 1, 0, 1)):
+        rng_trace, rng_c = random.Random(s), random.Random(s)
+        trace = sample_trace(j_seq, rng_trace)
+        c = sample_c(j_seq, rng_c)
+        assert trace.c == c
+        assert trace == generate_multistep(j_seq, c)
+        assert all(is_generic(p) for p in trace.pairs)
+        # the same draws, so every seeded caller keeps its outputs
+        assert rng_trace.getstate() == rng_c.getstate()
+    # the empty word has no parameters and draws nothing
+    rng = random.Random(s)
+    state = rng.getstate()
+    assert sample_c((), rng) == ()
+    assert rng.getstate() == state
 
 
 # --- numeric residuals ---------------------------------------------------------------

@@ -1,8 +1,11 @@
 """The library stays stdlib-only: sympy and hypothesis serve the tests alone."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import mkdv_a22
 
@@ -38,3 +41,28 @@ def test_only_exact_reads_the_fraction_view_of_a_poly():
             if isinstance(node, ast.Attribute) and node.attr == "coeffs":
                 readers.append(f"{path.name}:{node.lineno}")
     assert readers == []
+
+
+@pytest.mark.parametrize(
+    "module, loaded",
+    [
+        ("exact", ["exact"]),
+        ("psdo", ["exact", "psdo"]),
+        ("loop", ["exact", "loop"]),
+    ],
+)
+def test_importing_a_module_loads_only_its_own_imports(module, loaded):
+    # the package root re-exports nothing, so importing the bottom layers in a
+    # fresh interpreter leaves the rest of the engine unloaded
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        f"import mkdv_a22.{module}\n"
+        "print(' '.join(sorted(n for n in sys.modules if n.split('.')[0] == 'mkdv_a22')))\n"
+    )
+    src = str(Path(mkdv_a22.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, src], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["mkdv_a22"] + [f"mkdv_a22.{m}" for m in loaded]
