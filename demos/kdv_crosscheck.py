@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from mkdv_a22.generation import generate_multistep, sample_trace
-from mkdv_a22.miura import consistency_check, embed_a1, miura_from_trace, miura_map
+from mkdv_a22.miura import diagram_sides, embed_a1, miura_from_trace, miura_map
 from mkdv_a22.psdo import cube_root, from_diffop3, kdv_field
 
 
@@ -39,7 +39,9 @@ def main():
     for word in ((), (0,), (1,), (0, 1), (1, 0), (0, 1, 0)):
         trace = sample_trace(word, rng)
         verdicts = [
-            consistency_check(trace, r, i) for r in (1, 5) for i in (0, 1, 2)
+            pushed == kdv
+            for r in (1, 5)
+            for _, pushed, kdv in diagram_sides(trace, r, (0, 1, 2)).values()
         ]
         print(f"  J={str(word):12s} r in (1,5), all three maps: {all(verdicts)}")
 

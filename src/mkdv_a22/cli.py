@@ -125,9 +125,7 @@ def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     if any(name not in SUITES for name in names):
         raise UsageError(f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)} or all")
-    config = RunConfig(
-        seed=args.seed, samples=args.samples, depth=args.depth, tolerance=args.tolerance
-    )
+    config = RunConfig(seed=args.seed, samples=args.samples, tolerance=args.tolerance)
     reports = [SUITES[name](config) for name in names]
     payload = _dump({"reports": [r.to_json() for r in reports]})
     if args.json:
@@ -204,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", help="one of %s, or all" % ", ".join(SUITES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=3)
-    p.add_argument("--depth", type=int, default=10)
     p.add_argument("--tolerance", type=float, default=1e-8)
     p.add_argument("--json", action="store_true")
     p.add_argument("--output", default=None, help="also write the JSON report here")

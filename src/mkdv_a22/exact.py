@@ -1,7 +1,7 @@
 """Exact scalar and polynomial arithmetic used by every other module.
 
-Scalars are ``fractions.Fraction`` (aliased ``Rat``): arbitrary-precision
-rationals.  Plain ints are accepted everywhere and promote automatically.
+Scalars are ``fractions.Fraction``: arbitrary-precision rationals.  Plain
+ints are accepted everywhere and promote automatically.
 
 ``Poly`` is a dense univariate polynomial over the rationals (degrees stay in
 the dozens here, so dense storage is the right trade), stored as a rational
@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
-
-Rat = Fraction
 
 
 class Poly:

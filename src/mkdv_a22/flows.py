@@ -35,8 +35,9 @@ from .generation import (
     check_basic,
     generate_multistep,
     parameter_derivatives,
+    wronskian_rhs,
 )
-from .loop import REACH, LaurentMat, centralizer_power, conjugate, exp_dressing
+from .loop import CARTAN, REACH, LaurentMat, conjugate, exp_dressing, lambda_power
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ def mkdv_field(trace: GenerationTrace, r: int) -> RatFunc:
     """
     check_r(r)
     reach = sum(REACH[j] for j in trace.J)
-    part = centralizer_power(r)
+    part = lambda_power(r)
     for j, g in zip(trace.J, trace.gs):
         reach -= REACH[j]
         part = conjugate(exp_dressing(g, j), part, exp_dressing(-g, j), range(reach + 1))
@@ -127,11 +128,12 @@ def family_tangents(trace: GenerationTrace) -> List[RatFunc]:
     Non-generic points (repeated or shared roots) need no special case.  The
     last coordinate has the closed form
 
-        + a * y1(step m-1)**4 / y0(step m)**2     (last direction 0)
-        - 2a * y0(step m-1) / y1(step m)**2       (last direction 1)
+        a * w[j] * rhs(step m-1) / y_j(step m)**2
 
-    with a the recorded Wronskian constant; it is asserted here as a guard
-    on the derivative propagation.
+    with j the last direction, a the recorded Wronskian constant, rhs the
+    Wronskian right-hand side (y1**4 for j = 0, y0 for j = 1) and w the h0
+    weights of ``CARTAN``; it is asserted here as a guard on the derivative
+    propagation.
     """
     y0, y1 = trace.final
     tangents = [
@@ -139,12 +141,9 @@ def family_tangents(trace: GenerationTrace) -> List[RatFunc]:
         for dy0, dy1 in parameter_derivatives(trace)
     ]
     if trace.J:
-        a = trace.consts[-1]
+        j, a = trace.J[-1], trace.consts[-1]
         prev, last = trace.pairs[-2], trace.pairs[-1]
-        if trace.J[-1] == 0:
-            expected = RatFunc(prev.y1 ** 4 * a, last.y0 ** 2)
-        else:
-            expected = RatFunc(prev.y0 * (-2 * a), last.y1 ** 2)
+        expected = RatFunc(wronskian_rhs(prev, j) * (a * CARTAN.w[j]), last.component(j) ** 2)
         if tangents[-1] != expected:
             raise AssertionError("last family tangent disagrees with its closed form")
     return tangents

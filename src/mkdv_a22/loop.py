@@ -31,16 +31,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .exact import RF_ONE, RF_ZERO, RatFunc, ratfunc_to_json
+from .exact import RF_ONE, RF_ZERO, RatFunc
 
 
 @dataclass(frozen=True)
 class CartanData:
-    """Cartan matrix of the rank-two twisted type and the h_i diagonals."""
+    """Cartan matrix of the rank-two twisted type and the weights w with
+    h_j = w[j] * h0, where h0 = diag(1, 0, -1) and h1 = diag(-2, 0, 2)."""
 
     a: Tuple[Tuple[int, int], Tuple[int, int]] = ((2, -1), (-4, 2))
-    h0_diag: Tuple[int, int, int] = (1, 0, -1)
-    h1_diag: Tuple[int, int, int] = (-2, 0, 2)
+    w: Tuple[int, int] = (1, -2)
 
     def alpha_pairing(self, j: int, i: int) -> int:
         """<alpha_j, h_i> = a[i][j]."""
@@ -123,18 +123,9 @@ class LaurentMat:
             return self.terms == other.terms
         return NotImplemented
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __repr__(self):
         parts = [f"({i+1},{j+1})@{e}: {v}" for (i, j, e), v in sorted(self.terms.items())]
         return "LaurentMat[" + "; ".join(parts) + "]"
-
-    def to_json(self) -> list:
-        return [
-            {"row": i + 1, "col": j + 1, "lambda_exp": e, "ratfunc": ratfunc_to_json(v)}
-            for (i, j, e), v in sorted(self.terms.items())
-        ]
 
 
 def _product(a: LaurentMat, b: LaurentMat, keep) -> LaurentMat:
@@ -172,14 +163,6 @@ def lambda_power(r: int) -> LaurentMat:
     """
     q, s = divmod(r, 3)
     return LaurentMat({(i, j, e + q): v for (i, j, e), v in _LAMBDA_POWERS[s].terms.items()})
-
-
-def centralizer_power(r: int) -> LaurentMat:
-    """lambda_power(r) gated to the degrees r = 1, 5 mod 6 where the
-    centralizer of the cyclic element is nonzero."""
-    if r % 6 not in (1, 5):
-        raise ValueError(f"no centralizer generator in degree {r}")
-    return lambda_power(r)
 
 
 def exp_dressing(g, j: int) -> LaurentMat:

@@ -31,15 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from . import psdo
 from .exact import RF_ONE, RF_ZERO, RatFunc, log_derivative, ratfunc_to_json
 from .flows import mkdv_field
 from .generation import GenerationTrace, PolyPair
 from .loop import CARTAN
-from .psdo import DiffOp3, OpTangent, PsDO
-
-# coefficient of h0 in h_j (the two Cartan diagonals satisfy 2*h0 + h1 = 0)
-_H0_COEFF = {0: 1, 1: -2}
+from .psdo import DiffOp3, OpTangent, PsDO, kdv_field
 
 
 @dataclass(frozen=True)
@@ -103,7 +99,7 @@ def gauge_step(oper: MiuraOper, g: RatFunc, j: int) -> MiuraOper:
     g = RatFunc.lift(g)
     if not ricatti_check(oper, g, j):
         raise ValueError("gauge parameter does not satisfy the Riccati equation")
-    return MiuraOper(oper.v - g * _H0_COEFF[j])
+    return MiuraOper(oper.v - g * CARTAN.w[j])
 
 
 def embed_a1(oper: MiuraOper) -> MiuraOperA1:
@@ -203,5 +199,5 @@ def diagram_sides(
     for i in maps:
         scalar_op = miura_map(i, emb)
         pushed = d_miura_map_a1(i, emb, (x, RF_ZERO, -x))
-        sides[i] = (scalar_op, pushed, psdo.kdv_field(scalar_op, r))
+        sides[i] = (scalar_op, pushed, kdv_field(scalar_op, r))
     return sides

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import random
@@ -11,11 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from mkdv_a22 import cli, flows
+from mkdv_a22 import cli, flows, verify
 from mkdv_a22.cli import build_parser, main
 from mkdv_a22.exact import poly_from_json, ratfunc_from_json
 from mkdv_a22.flows import flow_sample
-from mkdv_a22.generation import InfertileError, generate_multistep
+from mkdv_a22.generation import InfertileError, PolyPair, generate_multistep
 from mkdv_a22.miura import miura_from_trace
 
 
@@ -177,7 +178,7 @@ def test_internal_error_exit_code(capsys, monkeypatch, exc):
     def broken(op, r):
         raise exc
 
-    monkeypatch.setattr("mkdv_a22.psdo.kdv_field", broken)
+    monkeypatch.setattr("mkdv_a22.miura.kdv_field", broken)
     code, out, err = run_cli(capsys, "kdv-check", "0", "--c", "3", "--r", "1")
     assert code == 3 and out == ""
     assert err.startswith("internal error:") and str(exc) in err
@@ -232,6 +233,42 @@ def test_wrong_dressing_inverse_is_an_internal_error(capsys, monkeypatch):
     assert len(made) == 2
     assert code == 3 and out == ""
     assert err == "internal error: ArithmeticError: p_inv is not the inverse of p\n"
+
+
+@pytest.mark.parametrize("word", ["1,0", "0,1"])
+def test_wrong_last_derivative_trips_the_tangent_guard(capsys, monkeypatch, word):
+    # doubling the derivatives in the last parameter doubles the last
+    # tangent, which then disagrees with its closed form; the two words end
+    # in the two directions
+    real = flows.parameter_derivatives
+
+    def doubled_last(trace):
+        *rest, (dy0, dy1) = real(trace)
+        return rest + [PolyPair(dy0 * 2, dy1 * 2)]
+
+    monkeypatch.setattr("mkdv_a22.flows.parameter_derivatives", doubled_last)
+    code, out, err = run_cli(capsys, "flow", word, "--c=2,5", "--r", "1")
+    assert code == 3 and out == ""
+    assert err == (
+        "internal error: AssertionError: last family tangent disagrees with its closed form\n"
+    )
+
+
+def test_verify_miura_reports_a_bad_gauge_increment(capsys, monkeypatch):
+    # a doubled last increment g solves no Riccati equation and breaks the
+    # telescoping sum: both cases fail on every word instead of raising
+    real = verify.sample_trace
+
+    def doubled_last_g(j_seq, rng):
+        trace = real(j_seq, rng)
+        return dataclasses.replace(trace, gs=trace.gs[:-1] + (trace.gs[-1] * 2,))
+
+    monkeypatch.setattr("mkdv_a22.verify.sample_trace", doubled_last_g)
+    code, out, err = run_cli(capsys, "verify", "miura", "--seed", "7", "--samples", "1")
+    assert code == 1 and err == ""
+    for name in ("oper from trace equals oper from pair", "gauge replay along the trace"):
+        lines = [line for line in out.splitlines() if name in line]
+        assert len(lines) == 8 and all(line.startswith("[FAIL]") for line in lines)
 
 
 def test_negative_parameters_with_equals_form(capsys):

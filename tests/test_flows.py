@@ -11,6 +11,7 @@ from mkdv_a22 import cli, exact
 from mkdv_a22.exact import ONE, X, RatFunc, poly_lcm
 from mkdv_a22.flows import (
     DecomposeResult,
+    check_r,
     decompose_flow,
     dressing_product,
     family_tangents,
@@ -71,6 +72,17 @@ def test_mkdv_field_one_step_families():
         mkdv_field(t0, 2)
     with pytest.raises(ValueError):
         mkdv_field(t0, 6)
+
+
+def test_flow_index_gate_rejects_degrees_without_a_flow():
+    # the centralizer of the cyclic element lives in degrees 1 and 5 mod 6;
+    # -5 is one of them but not a positive flow index
+    t0 = generate_multistep((0,), (F(3),))
+    for r in (0, 2, 3, 4, 6, 9, -5):
+        with pytest.raises(ValueError, match="flow index must be positive and 1 or 5 mod 6"):
+            check_r(r)
+        with pytest.raises(ValueError, match="flow index must be positive and 1 or 5 mod 6"):
+            mkdv_field(t0, r)
 
 
 def test_mkdv_field_matches_whole_dressing_product():

@@ -8,7 +8,7 @@ import sympy as sp
 from hypothesis import given, seed, settings, strategies as st
 
 from mkdv_a22.exact import ONE, RF_ONE, RF_ZERO, X, Poly, RatFunc, log_derivative, poly_gcd
-from mkdv_a22.generation import PolyPair, generate_multistep, sample_c
+from mkdv_a22.generation import PolyPair, generate_multistep, sample_c, sample_trace
 from mkdv_a22.miura import (
     MiuraOper,
     MiuraOperA1,
@@ -48,11 +48,16 @@ def test_miura_from_trace_values_and_pair_equality():
     assert miura_from_trace(t0).v == rf(-ONE, X + c)
     t1 = generate_multistep((1,), (c,))
     assert miura_from_trace(t1).v == rf(ONE * 2, X + c)
+    # the gauge increments telescope: v = -sum_l g_l * (h_{j_l} in h0 units)
+    h0_units = {0: 1, 1: -2}
     rng = random.Random(31)
     for j_seq in ((0, 1), (1, 0), (0, 1, 0), (1, 0, 1, 0)):
-        cs = sample_c(j_seq, rng)
-        t = generate_multistep(j_seq, cs)
-        assert miura_from_trace(t).v == miura_from_pair(t.final).v
+        t = sample_trace(j_seq, rng)
+        telescoped = RF_ZERO
+        for j, g in zip(t.J, t.gs):
+            telescoped = telescoped - g * h0_units[j]
+        assert telescoped == miura_from_pair(t.final).v
+        assert miura_from_trace(t).v == telescoped
 
 
 def test_alpha_pairing():

@@ -4,8 +4,10 @@ Each demo is run in-process as ``__main__``; each verify suite is run
 through ``cli.main`` with a fixed seed and one sample (``kdv`` is the one
 command line that runs ``cube_root`` and ``frac_power_plus`` on random
 operators), and so are ``generate`` and ``miura`` on alternating words of
-length 11 and 13, past the length-7 words of the benchmark case lists.  Any change to what these
-print, down to one byte, fails here.
+length 11 and 13, past the length-7 words of the benchmark case lists, and
+``flow --r 13`` on both alternating words of length 8, past the length-4
+words of the flow workload.  Any change to what these print, down to one
+byte, fails here.
 """
 
 import hashlib
@@ -47,6 +49,13 @@ LONG_WORD_HASHES = {
     ("miura", 11): "6c38a10ea8773cf87e5285211c1c5f6784ac9881a008ed302b647a6fecc47aad",
     ("miura", 13): "ba6e0864937a2fb58694e9b26ff8e381726f06961e344fe5406d6394ca119e03",
 }
+# flow --r 13 on both alternating words of length 8, c = LONG_C[:8]; the two
+# words end in different directions, so both reach the closed-form guard on
+# the last family tangent
+LONG_FLOW_HASHES = {
+    "0,1,0,1,0,1,0,1": "65c2bfd4f03cbf7e194134a0cdb8c809d32fd30bdfb1fcbf2ca770d29f81258b",
+    "1,0,1,0,1,0,1,0": "9818bd51a21be32fecd88aa9ecaf4ea11e98e62cf16075770d993e1d2d5ca51b",
+}
 
 
 def _sha256(text: str) -> str:
@@ -78,3 +87,12 @@ def test_long_word_output_matches_recorded_hash(command, length):
         code = cli.main([command, word, "--c=" + ",".join(LONG_C[:length])])
     assert code == 0
     assert _sha256(out.getvalue()) == LONG_WORD_HASHES[command, length]
+
+
+@pytest.mark.parametrize("word", sorted(LONG_FLOW_HASHES))
+def test_long_word_flow_matches_recorded_hash(word):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["flow", word, "--c=" + ",".join(LONG_C[:8]), "--r", "13"])
+    assert code == 0
+    assert _sha256(out.getvalue()) == LONG_FLOW_HASHES[word]
